@@ -37,6 +37,9 @@ EXIT_CONFIG = 2
 EXIT_CONSISTENCY = 3
 EXIT_UNDERSAMPLED = 4
 
+# Built once: jsonschema.validate re-checks the schema on every call.
+_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(EXPERIMENT_CONFIG_SCHEMA)
+
 
 def _read_json(path: str):
     if path == "-":
@@ -162,17 +165,13 @@ def _cmd_folner_audit(args) -> int:
     return EXIT_OK
 
 
-def _experiment_seed(master_seed: int, index: int):
-    return child_seed(master_seed, index)
-
-
 def _run_experiment(exp: dict, master_seed: int, index: int, threads: int):
     spec = tiling.builtin(exp["tiling"]["name"])
     level = exp["tiling"]["level"]
     proc = process.from_json(exp["process"])
     params = exp["params"]
     bias = params.get("bias", "plugin")
-    seed = _experiment_seed(master_seed, index)
+    seed = child_seed(master_seed, index)
     kind = exp["kind"]
 
     def need(*names):
@@ -214,7 +213,9 @@ def _run_experiment(exp: dict, master_seed: int, index: int, threads: int):
 
 def _cmd_entropy_run(args) -> int:
     config = _read_json(args.config)
-    jsonschema.validate(config, EXPERIMENT_CONFIG_SCHEMA)
+    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(config))
+    if error is not None:
+        raise error
     names = [e["name"] for e in config["experiments"]]
     if len(set(names)) != len(names):
         raise InputError("experiment names must be unique")

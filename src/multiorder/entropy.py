@@ -28,6 +28,7 @@ from .errors import (
     ConsistencyError,
     DimensionMismatchError,
     InputError,
+    OutOfWindowError,
 )
 from .orders import OrderWindow
 from .process import Configuration
@@ -242,34 +243,49 @@ def mc_integral(proc, spec: tiling.TilingSystemSpec, j: int, n_orders: int,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Frame:
-    """A configuration laid out on a window, symbols in window order."""
+    """A configuration laid out on a window: the window and its symbols in
+    window order; ``config`` pairs them with the cells on access."""
 
-    config: Configuration
     window: OrderWindow
+    symbols: tuple
 
-    def __post_init__(self):
-        if self.config.cells != tuple(self.window.cells()):
+    def __init__(self, config: Configuration, window: OrderWindow):
+        if config.cells != tuple(window.cells()):
             raise InputError("frame configuration must list the window cells in order")
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "symbols", config.symbols)
+
+    @classmethod
+    def _trusted(cls, window: OrderWindow, symbols: tuple) -> "Frame":
+        frame = object.__new__(cls)
+        object.__setattr__(frame, "window", window)
+        object.__setattr__(frame, "symbols", symbols)
+        return frame
+
+    @property
+    def config(self) -> Configuration:
+        return Configuration(tuple(self.window.cells()), self.symbols)
 
 
 def make_frame(proc, w: OrderWindow, seed) -> Frame:
     _check_group(proc, w)
-    return Frame(process.sample(proc, w.cells(), seed), w)
+    return Frame._trusted(w, process.sample(proc, w.cells(), seed).symbols)
 
 
 def successor_step(frame: Frame, k: int) -> Frame:
     """Move the anchor to the order-position-k element.
 
-    The window translates by act and the configuration re-indexes by the
-    same element, so the symbol at the new anchor is the old symbol at
+    The window translates as by act(w, cell(k)), without the lookup (cells
+    are distinct, so k names the element), and the symbols keep their
+    window order, so the symbol at the new anchor is the old one at
     cell(k).  Steps compose: stepping by k then m equals stepping by k+m.
     """
     w = frame.window
-    g = w.cell(k)
-    w2 = orders.act(w, g)
-    return Frame(Configuration(tuple(w2.cells()), frame.config.symbols), w2)
+    if k < w.lo or k > w.hi:
+        raise OutOfWindowError(f"position {k} outside window [{w.lo}, {w.hi}]")
+    return Frame._trusted(orders._shift(w, k), frame.symbols)
 
 
 @dataclass(frozen=True)
@@ -321,13 +337,11 @@ def successor_consistency(proc, spec: tiling.TilingSystemSpec, j: int,
 
         frame = make_frame(proc, w, cfg_seed)
         offset = groups.identity(spec.group)
-        visited = []
+        cells_stepped = []
         for _ in range(j):
-            g = frame.window.cell(-1)
-            offset = groups.compose(spec.group, offset, g)
-            visited.append(offset)
+            offset = groups.compose(spec.group, offset, frame.window.cell(-1))
+            cells_stepped.insert(0, offset)
             frame = successor_step(frame, -1)
-        cells_stepped = list(reversed(visited))
 
         if cells_direct != cells_stepped:
             first_bad = next(

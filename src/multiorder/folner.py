@@ -19,7 +19,7 @@ from . import groups, orders, tiling
 from .errors import InputError, OutOfWindowError
 from .groups import GroupSpec
 from .orders import OrderWindow
-from .util import pack_rows, spawn_seeds
+from .util import pack_rows, sorted_distinct, spawn_seeds
 
 # Above this many (k, f) pairs the symmetric difference is computed on
 # packed int64 codes instead of python sets; both routes are exact.
@@ -57,10 +57,10 @@ def invariance_ratio(spec: GroupSpec, F, K) -> Fraction:
         both = np.concatenate([prod, arr_f], axis=0)
         codes = pack_rows(both)
         if codes is not None:
-            kf = np.unique(codes[: prod.shape[0]])
-            f = np.unique(codes[prod.shape[0] :])
+            kf = sorted_distinct(codes[: prod.shape[0]])
+            f = sorted_distinct(codes[prod.shape[0] :])
             sym = np.setxor1d(kf, f, assume_unique=True).size
-            return Fraction(int(sym), len(set(Fs)))
+            return Fraction(int(sym), int(f.size))
     fset = set(Fs)
     kf = {groups.compose(spec, k, g) for k in Ks for g in fset}
     return Fraction(len(kf ^ fset), len(fset))
@@ -107,10 +107,6 @@ def tile_aligned_anchors(w: OrderWindow, tile_size: int) -> list[int]:
     return out
 
 
-def _interval_set(w: OrderWindow, a: int, count: int) -> list:
-    return orders.interval(w, a, a + count - 1)
-
-
 def full_tile_records(w: OrderWindow, K, tile_size: int,
                       max_anchors=None) -> list[InvarianceRecord]:
     """Invariance records for complete aligned tiles of the given cell count."""
@@ -121,7 +117,7 @@ def full_tile_records(w: OrderWindow, K, tile_size: int,
     Ks = _normalize_set(w.group, K)
     out = []
     for a in anchors:
-        F = _interval_set(w, a, tile_size)
+        F = orders.interval(w, a, a + tile_size - 1)
         out.append(
             InvarianceRecord(tile_size, len(set(Ks)),
                              invariance_ratio(w.group, F, Ks), anchor=a)
@@ -177,7 +173,7 @@ def uniform_audit(spec: tiling.TilingSystemSpec, K, epsilon, candidates,
                 )
             starts = np.linspace(w.lo, w.hi - n + 1, num=min(anchors, size - n + 1))
             for a in sorted(set(int(round(s)) for s in starts)):
-                F = _interval_set(w, a, n)
+                F = orders.interval(w, a, a + n - 1)
                 r = invariance_ratio(spec.group, F, Ks)
                 sums[n] += r
                 counts[n] += 1

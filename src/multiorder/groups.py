@@ -33,10 +33,6 @@ class GroupSpec:
     def grid(cls, d: int) -> "GroupSpec":
         return cls(d)
 
-    @property
-    def kind(self) -> str:
-        return "int_line" if self.d == 1 else "int_grid"
-
     def to_json(self) -> dict:
         return {"kind": "int_grid", "d": self.d}
 

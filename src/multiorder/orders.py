@@ -27,7 +27,7 @@ from .errors import (
     OutOfWindowError,
 )
 from .groups import Element, GroupSpec
-from .util import count_distinct_rows, make_rng, pack_rows
+from .util import count_distinct_rows, make_rng
 
 # Below this many cells an index dict is built on first lookup; larger
 # windows use a vectorized scan per lookup instead (cheaper than building
@@ -375,12 +375,3 @@ def iid_order(group: GroupSpec, cells, seed) -> OrderRanking:
     order = sorted(range(len(cs)), key=lambda r: (int(draws[r]), cs[r]))
     ranks = {cs[r]: pos for pos, r in enumerate(order)}
     return OrderRanking(group, ranks)
-
-
-def cells_as_set(w: OrderWindow) -> set[Element]:
-    return set(w.cells())
-
-
-def packed_codes(w: OrderWindow):
-    """Internal: exact int64 codes of the window cells, or None on overflow."""
-    return pack_rows(w.array)

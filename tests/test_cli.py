@@ -8,6 +8,7 @@ import pytest
 
 from multiorder import cli, entropy, orders, tiling
 from multiorder.errors import ConsistencyError
+from multiorder.schema import EXPERIMENT_CONFIG_SCHEMA
 
 FLIP = {"variant": "markov_line", "transition": [[0.9, 0.1], [0.1, 0.9]],
         "alphabet": [0, 1]}
@@ -226,6 +227,19 @@ def test_entropy_run_rejects_bad_configs(tmp_path, capsys):
     assert cli.main(["entropy", "run", "--config", str(bad)]) == 2
     capsys.readouterr()
 
+
+
+def test_config_schema_passes_its_meta_schema():
+    jsonschema.Draft202012Validator.check_schema(EXPERIMENT_CONFIG_SCHEMA)
+
+
+def test_entropy_run_reports_missing_version(tmp_path, capsys):
+    config = base_config(tmp_path)
+    del config["version"]
+    assert run_config(tmp_path, config) == 2
+    assert capsys.readouterr().err == (
+        "config/input error: 'version' is a required property\n"
+    )
 
 def test_entropy_run_strict_sampling_gate(tmp_path, capsys):
     starved = {

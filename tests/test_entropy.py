@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 import oracles
-from multiorder import entropy, orders, process, tiling
+from multiorder import cli, entropy, orders, process, tiling
 from multiorder.entropy import Frame, make_frame, successor_step
-from multiorder.errors import ConsistencyError, DimensionMismatchError, InputError
+from multiorder.errors import (
+    ConsistencyError,
+    DimensionMismatchError,
+    InputError,
+    OutOfWindowError,
+)
 from multiorder.groups import GroupSpec
 from multiorder.orders import OrderWindow
 from multiorder.process import Bernoulli, MarkovLine, PeriodicOverlay
@@ -189,6 +194,56 @@ def test_frame_validation():
     with pytest.raises(InputError):
         Frame(cfg, w)
 
+
+
+def test_successor_step_rejects_positions_outside_window():
+    frame = make_frame(flip_chain(), natural_window(-3, 3), seed=9)
+    for k in (-4, 4):
+        with pytest.raises(OutOfWindowError):
+            successor_step(frame, k)
+
+
+def test_successor_step_builds_no_index():
+    # 65 536 cells, above the index-dict limit, and 1024 cells, below it.
+    spec = tiling.builtin("hilbert")
+    addr, _ = tiling.sample_straight_address(spec, 8, seed=3, need_past=4)
+    windows = [tiling.expand(addr), alternating_order(10, seed=3, need_past=4)]
+    procs = [Bernoulli(GRID, (0.5, 0.5)), flip_chain()]
+    for w, proc in zip(windows, procs):
+        frame = make_frame(proc, w, seed=1)
+        for _ in range(4):
+            frame = successor_step(frame, -1)
+            assert frame.window._index is None
+        assert w._index is None
+
+
+def test_successor_step_equals_act_by_cell():
+    spec = tiling.builtin("hilbert")
+    addr, _ = tiling.sample_straight_address(spec, 5, seed=8, need_past=5, need_future=5)
+    w = tiling.expand(addr)
+    frame = make_frame(Bernoulli(GRID, (0.3, 0.7)), w, seed=2)
+    rng = np.random.default_rng(17)
+    for k in rng.integers(w.lo, w.hi + 1, size=12):
+        k = int(k)
+        moved = orders.act(w, w.cell(k))
+        expected = process.Configuration(tuple(moved.cells()), frame.config.symbols)
+        stepped = successor_step(frame, k)
+        assert stepped.window == moved
+        assert stepped.config == expected
+
+
+def test_successor_report_matches_golden(tmp_path, data_dir, monkeypatch):
+    golden = data_dir / "successor_golden"
+    (tmp_path / "config.json").write_bytes((golden / "config.json").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    for threads in ("1", "2"):
+        assert cli.main(["entropy", "run", "--config", "config.json",
+                         "--threads", threads]) == 0
+        produced = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert produced == ["aggregate.csv", "bernoulli_hilbert_steps.json",
+                            "flip_alternating_steps.json"]
+        for name in produced:
+            assert (tmp_path / "out" / name).read_bytes() == (golden / name).read_bytes(), name
 
 def test_successor_consistency_routes_agree():
     rep = entropy.successor_consistency(
