@@ -68,33 +68,35 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+_ORDER_FORMS = {
+    "window": orders.OrderWindow,
+    "increments": orders.IncrementWindow,
+    "ranking": orders.OrderRanking,
+}
+
+
 def _cmd_order_convert(args) -> int:
     obj = _read_json(args.input)
-    form = obj.get("form")
-    if form == "window":
-        src = orders.OrderWindow.from_json(obj)
-    elif form == "increments":
-        src = orders.IncrementWindow.from_json(obj)
-    elif form == "ranking":
-        src = orders.OrderRanking.from_json(obj)
-    else:
-        raise InputError(f"input form must be window/increments/ranking, got {form!r}")
+    form = obj.get("form") if isinstance(obj, dict) else None
+    if form not in _ORDER_FORMS:
+        raise InputError("input must be a JSON object whose form is "
+                         f"window/increments/ranking, got {form!r}")
+    try:
+        src = _ORDER_FORMS[form].from_json(obj)
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed {form} JSON: {type(exc).__name__}: {exc}") from None
 
     target = args.to
-    if form == "increments" and target in ("window", "ranking"):
-        src = orders.from_increments(src)
-        form = "window"
-    if form == "window" and target == "increments":
+    if form == "increments" and target != "increments":
+        src, form = orders.from_increments(src), "window"
+    if form == target:
+        out = src
+    elif form == "window" and target == "increments":
         out = orders.to_increments(src)
-    elif form == "window" and target == "window":
-        out = src
     elif form == "window" and target == "ranking":
-        ranks = {c: i - src.lo for i, c in zip(range(src.lo, src.hi + 1), src.cells())}
-        out = orders.OrderRanking(src.group, ranks)
-    elif form == "increments" and target == "increments":
-        out = src
-    elif form == "ranking" and target == "ranking":
-        out = src
+        out = orders.OrderRanking(src.group, {c: r for r, c in enumerate(src.cells())})
     else:
         raise InputError(f"cannot convert {form} to {target}")
     _write_text(_dump_json(out.to_json()), args.output)
@@ -147,7 +149,12 @@ def _cmd_folner_audit(args) -> int:
         K = folner.unit_cross(spec.group)
     else:
         K = groups.box(spec.group, args.k_radius)
-    candidates = [int(x) for x in args.candidates.split(",") if x.strip()]
+    try:
+        candidates = [int(x) for x in args.candidates.split(",") if x.strip()]
+    except ValueError:
+        raise InputError(
+            f"candidates must be comma-separated ints, got {args.candidates!r}"
+        ) from None
     result = folner.uniform_audit(
         spec, K, args.epsilon, candidates, args.samples, args.seed,
         args.level, anchors=args.anchors,
@@ -211,6 +218,14 @@ def _run_experiment(exp: dict, master_seed: int, index: int, threads: int):
     raise InputError(f"unknown experiment kind {kind!r}")
 
 
+def _env_threads() -> int:
+    value = os.environ.get("MULTIORDER_THREADS", "1")
+    try:
+        return int(value)
+    except ValueError:
+        raise InputError(f"MULTIORDER_THREADS must be an int, got {value!r}") from None
+
+
 def _cmd_entropy_run(args) -> int:
     config = _read_json(args.config)
     error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(config))
@@ -222,9 +237,7 @@ def _cmd_entropy_run(args) -> int:
     config_hash = hashlib.sha256(
         json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
-    threads = args.threads or config.get("threads") or int(
-        os.environ.get("MULTIORDER_THREADS", "1")
-    )
+    threads = args.threads or config.get("threads") or _env_threads()
     out_dir = Path(config.get("output_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     strict = bool(config.get("strict_sampling", False))

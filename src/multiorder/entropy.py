@@ -32,7 +32,7 @@ from .errors import (
 )
 from .orders import OrderWindow
 from .process import Configuration
-from .util import spawn_seeds
+from .util import count_distinct_rows, spawn_seeds
 
 _LN2 = math.log(2.0)
 _BIAS_MODES = ("plugin", "miller_madow")
@@ -128,8 +128,7 @@ def block_entropy_along_order(proc, w: OrderWindow, n: int, m: int, seed,
     _check_group(proc, w)
     if n < 0:
         raise InputError(f"block span must be >= 0, got {n}")
-    cells = orders.interval(w, 0, n)
-    idx = process.sample_many(proc, cells, m, seed)
+    idx = process.sample_many(proc, w.rows(0, n), m, seed)
     k = process.alphabet_size(proc)
     terms, support = _plugin_terms(_encode_columns(idx, k))
     est, se = _mean_se(terms)
@@ -147,15 +146,21 @@ def block_entropy_along_order(proc, w: OrderWindow, n: int, m: int, seed,
     )
 
 
+def _with_anchor(group, cells) -> np.ndarray:
+    """The cells as an array with the identity appended as the last row."""
+    arr = groups.as_cell_array(group, cells)
+    return np.concatenate([arr, np.zeros((1, group.d), dtype=np.int64)])
+
+
 def _cond_estimate(proc, cond_cells, m: int, seed, bias: str):
     """Estimate H(symbol at e | symbols on cond_cells) from m draws."""
-    cells = list(cond_cells) + [groups.identity(proc.group)]
-    if len(set(cells)) != len(cells):
+    cells = _with_anchor(proc.group, cond_cells)
+    if count_distinct_rows(cells) != len(cells):
         raise InputError("conditioner cells must be distinct and exclude the anchor")
     idx = process.sample_many(proc, cells, m, seed)
     k = process.alphabet_size(proc)
     joint_terms, kj = _plugin_terms(_encode_columns(idx, k))
-    if cond_cells:
+    if len(cells) > 1:
         cond_terms, kc = _plugin_terms(_encode_columns(idx[:, :-1], k))
     else:
         cond_terms, kc = np.zeros(m), 1
@@ -172,8 +177,7 @@ def cond_entropy_along_order(proc, w: OrderWindow, j: int, m: int, seed,
     _check_group(proc, w)
     if j < 0:
         raise InputError(f"depth must be >= 0, got {j}")
-    cond_cells = orders.interval(w, -j, -1)
-    est, se = _cond_estimate(proc, cond_cells, m, seed, bias)
+    est, se = _cond_estimate(proc, w.rows(-j, -1), m, seed, bias)
     k = process.alphabet_size(proc)
     return EntropyReport(
         estimate=est,
@@ -220,8 +224,7 @@ def mc_integral(proc, spec: tiling.TilingSystemSpec, j: int, n_orders: int,
                 spec, level, addr_seed, need_past=j
             )
             w = tiling.expand(addr)
-            cond_cells = orders.interval(w, -j, -1)
-            est, _ = _cond_estimate(proc, cond_cells, m, samp_seed, bias)
+            est, _ = _cond_estimate(proc, w.rows(-j, -1), m, samp_seed, bias)
             return est, retries
 
         return task
@@ -271,7 +274,8 @@ class Frame:
 
 def make_frame(proc, w: OrderWindow, seed) -> Frame:
     _check_group(proc, w)
-    return Frame._trusted(w, process.sample(proc, w.cells(), seed).symbols)
+    idx = process.sample_many(proc, w.array, 1, seed)[0]
+    return Frame._trusted(w, tuple(process.symbols_of(proc, idx)))
 
 
 def successor_step(frame: Frame, k: int) -> Frame:
@@ -320,6 +324,8 @@ def successor_consistency(proc, spec: tiling.TilingSystemSpec, j: int,
     _check_bias(bias)
     if j < 1:
         raise InputError(f"depth must be >= 1, got {j}")
+    if n_orders < 1:
+        raise InputError(f"order count must be >= 1, got {n_orders}")
     if proc.group != spec.group:
         raise DimensionMismatchError("process and tiling system live on different groups")
     children = spawn_seeds(seed, n_orders)
@@ -333,23 +339,23 @@ def successor_consistency(proc, spec: tiling.TilingSystemSpec, j: int,
         )
         resamples += retries
         w = tiling.expand(addr)
-        cells_direct = orders.interval(w, -j, -1)
+        cells_direct = w.rows(-j, -1)
 
         frame = make_frame(proc, w, cfg_seed)
-        offset = groups.identity(spec.group)
-        cells_stepped = []
-        for _ in range(j):
-            offset = groups.compose(spec.group, offset, frame.window.cell(-1))
-            cells_stepped.insert(0, offset)
+        offset = np.zeros(spec.group.d, dtype=np.int64)
+        cells_stepped = np.empty_like(cells_direct)
+        for p in range(j - 1, -1, -1):
+            offset = offset + frame.window.cell(-1)
+            cells_stepped[p] = offset
             frame = successor_step(frame, -1)
 
-        if cells_direct != cells_stepped:
-            first_bad = next(
-                p for p, (a, b) in enumerate(zip(cells_direct, cells_stepped)) if a != b
-            )
+        bad = np.nonzero((cells_direct != cells_stepped).any(axis=1))[0]
+        if bad.size:
+            p = int(bad[0])
             raise ConsistencyError(
-                f"order {i}: conditioner cells differ at position {first_bad - j}: "
-                f"direct {cells_direct[first_bad]} vs stepped {cells_stepped[first_bad]}"
+                f"order {i}: conditioner cells differ at position {p - j}: "
+                f"direct {tuple(cells_direct[p].tolist())} vs "
+                f"stepped {tuple(cells_stepped[p].tolist())}"
             )
         est_a, _ = _cond_estimate(proc, cells_direct, m, samp_seed, bias)
         est_b, _ = _cond_estimate(proc, cells_stepped, m, samp_seed, bias)
@@ -457,8 +463,7 @@ def remote_past_mi(proc, spec: tiling.TilingSystemSpec, gap: int, j: int,
                 spec, level, addr_seed, need_past=gap + j
             )
             w = tiling.expand(addr)
-            block = orders.interval(w, -gap - j, -gap - 1)
-            cells = block + [groups.identity(proc.group)]
+            cells = _with_anchor(proc.group, w.rows(-gap - j, -gap - 1))
             idx = process.sample_many(proc, cells, m, samp_seed)
             joint_terms, kj = _plugin_terms(_encode_columns(idx, k))
             block_terms, kb = _plugin_terms(_encode_columns(idx[:, :-1], k))

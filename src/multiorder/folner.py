@@ -1,11 +1,12 @@
 """Exact invariance audits of order intervals.
 
-All set arithmetic is over integer cell tuples and all ratios are exact
-``fractions.Fraction`` values; nothing here is floating point.  Two length
-conventions coexist and are documented per function: ``audit_intervals``
-takes the position span n of the interval [0, n] (n+1 cells), while
-``uniform_audit`` and the full-tile helpers take cell counts (a complete
-level-k tile of the square system has 4**k cells).
+Cell sets are (n, d) int64 arrays (tuple collections are accepted and
+coerced by ``groups.as_cell_array``), set sizes are distinct-row counts,
+and all ratios are exact ``fractions.Fraction`` values; nothing here is
+floating point.  Two length conventions coexist and are documented per
+function: ``audit_intervals`` takes the position span n of the interval
+[0, n] (n+1 cells), while ``uniform_audit`` and the full-tile helpers take
+cell counts (a complete level-k tile of the square system has 4**k cells).
 """
 
 from __future__ import annotations
@@ -19,11 +20,7 @@ from . import groups, orders, tiling
 from .errors import InputError, OutOfWindowError
 from .groups import GroupSpec
 from .orders import OrderWindow
-from .util import pack_rows, sorted_distinct, spawn_seeds
-
-# Above this many (k, f) pairs the symmetric difference is computed on
-# packed int64 codes instead of python sets; both routes are exact.
-_ARRAY_PATH_LIMIT = 20000
+from .util import count_distinct_rows, spawn_seeds
 
 
 def unit_cross(spec: GroupSpec) -> frozenset:
@@ -38,32 +35,26 @@ def unit_cross(spec: GroupSpec) -> frozenset:
     return frozenset(out)
 
 
-def _normalize_set(spec: GroupSpec, cells) -> list:
-    return [groups.element(spec, c) for c in cells]
-
-
 def invariance_ratio(spec: GroupSpec, F, K) -> Fraction:
-    """|KF symmetric-difference F| / |F|, exactly."""
-    Fs = _normalize_set(spec, F)
-    Ks = _normalize_set(spec, K)
-    if not Fs:
+    """|KF symmetric-difference F| / |F|, exactly.
+
+    Repeated cells count once.  The symmetric difference is counted as
+    2|KF union F| - |KF| - |F|.
+    """
+    f = groups.as_cell_array(spec, F)
+    k = groups.as_cell_array(spec, K)
+    if not len(f):
         raise InputError("F must be nonempty")
-    if not Ks:
+    if not len(k):
         raise InputError("K must be nonempty")
-    if len(Fs) * len(Ks) > _ARRAY_PATH_LIMIT:
-        arr_f = np.asarray(Fs, dtype=np.int64)
-        arr_k = np.asarray(Ks, dtype=np.int64)
-        prod = (arr_k[:, None, :] + arr_f[None, :, :]).reshape(-1, spec.d)
-        both = np.concatenate([prod, arr_f], axis=0)
-        codes = pack_rows(both)
-        if codes is not None:
-            kf = sorted_distinct(codes[: prod.shape[0]])
-            f = sorted_distinct(codes[prod.shape[0] :])
-            sym = np.setxor1d(kf, f, assume_unique=True).size
-            return Fraction(int(sym), int(f.size))
-    fset = set(Fs)
-    kf = {groups.compose(spec, k, g) for k in Ks for g in fset}
-    return Fraction(len(kf ^ fset), len(fset))
+    # KF is summed in int64, where an out-of-range sum would wrap silently.
+    if (int(k.min()) + int(f.min()) < -2**63
+            or int(k.max()) + int(f.max()) >= 2**63):
+        raise InputError("sums of F and K coordinates must fit in int64")
+    kf = (k[:, None, :] + f[None, :, :]).reshape(-1, spec.d)
+    n_f = count_distinct_rows(f)
+    n_union = count_distinct_rows(np.concatenate([kf, f]))
+    return Fraction(2 * n_union - count_distinct_rows(kf) - n_f, n_f)
 
 
 @dataclass(frozen=True)
@@ -81,13 +72,13 @@ def audit_intervals(w: OrderWindow, K, lengths) -> list[InvarianceRecord]:
     satisfy 0 <= n <= hi.
     """
     records = []
-    Ks = _normalize_set(w.group, K)
+    Ks = groups.as_cell_array(w.group, K)
+    k_size = count_distinct_rows(Ks)
     for n in lengths:
         if n < 0 or n > w.hi:
             raise OutOfWindowError(f"span {n} outside window [0, {w.hi}]")
-        F = orders.interval(w, 0, n)
         records.append(
-            InvarianceRecord(n + 1, len(set(Ks)), invariance_ratio(w.group, F, Ks))
+            InvarianceRecord(n + 1, k_size, invariance_ratio(w.group, w.rows(0, n), Ks))
         )
     return records
 
@@ -98,13 +89,7 @@ def tile_aligned_anchors(w: OrderWindow, tile_size: int) -> list[int]:
     position - lo is the curve rank inside the top tile."""
     if tile_size < 1:
         raise InputError(f"tile size must be >= 1, got {tile_size}")
-    first = w.lo
-    out = []
-    a = first
-    while a + tile_size - 1 <= w.hi:
-        out.append(a)
-        a += tile_size
-    return out
+    return list(range(w.lo, w.hi - tile_size + 2, tile_size))
 
 
 def full_tile_records(w: OrderWindow, K, tile_size: int,
@@ -114,15 +99,14 @@ def full_tile_records(w: OrderWindow, K, tile_size: int,
     if max_anchors is not None and len(anchors) > max_anchors:
         picks = np.linspace(0, len(anchors) - 1, max_anchors).round().astype(int)
         anchors = [anchors[i] for i in sorted(set(int(p) for p in picks))]
-    Ks = _normalize_set(w.group, K)
-    out = []
-    for a in anchors:
-        F = orders.interval(w, a, a + tile_size - 1)
-        out.append(
-            InvarianceRecord(tile_size, len(set(Ks)),
-                             invariance_ratio(w.group, F, Ks), anchor=a)
-        )
-    return out
+    Ks = groups.as_cell_array(w.group, K)
+    k_size = count_distinct_rows(Ks)
+    return [
+        InvarianceRecord(tile_size, k_size,
+                         invariance_ratio(w.group, w.rows(a, a + tile_size - 1), Ks),
+                         anchor=a)
+        for a in anchors
+    ]
 
 
 @dataclass(frozen=True)
@@ -158,7 +142,9 @@ def uniform_audit(spec: tiling.TilingSystemSpec, K, epsilon, candidates,
     cands = sorted(set(int(n) for n in candidates))
     if not cands or cands[0] < 1:
         raise InputError("candidates must be positive cell counts")
-    Ks = _normalize_set(spec.group, K)
+    if samples < 1 or anchors < 1:
+        raise InputError(f"samples and anchors must be >= 1, got {samples} and {anchors}")
+    Ks = groups.as_cell_array(spec.group, K)
     sums = {n: Fraction(0) for n in cands}
     worsts = {n: Fraction(0) for n in cands}
     counts = {n: 0 for n in cands}
@@ -173,8 +159,7 @@ def uniform_audit(spec: tiling.TilingSystemSpec, K, epsilon, candidates,
                 )
             starts = np.linspace(w.lo, w.hi - n + 1, num=min(anchors, size - n + 1))
             for a in sorted(set(int(round(s)) for s in starts)):
-                F = orders.interval(w, a, a + n - 1)
-                r = invariance_ratio(spec.group, F, Ks)
+                r = invariance_ratio(spec.group, w.rows(a, a + n - 1), Ks)
                 sums[n] += r
                 counts[n] += 1
                 if r > worsts[n]:
@@ -192,8 +177,8 @@ def uniform_audit(spec: tiling.TilingSystemSpec, K, epsilon, candidates,
 
 def interval_growth(w: OrderWindow, F, n: int, side: str = "forward") -> Fraction:
     """|[F, F+n]| / |F| (or the backward analogue), exactly."""
-    Fs = _normalize_set(w.group, F)
-    if not Fs:
+    Fs = groups.as_cell_array(w.group, F)
+    if not len(Fs):
         raise InputError("F must be nonempty")
     union = orders.interval_from_set(w, Fs, n, side)
-    return Fraction(len(union), len(set(Fs)))
+    return Fraction(len(union), count_distinct_rows(Fs))

@@ -3,12 +3,17 @@
 Elements are plain int tuples of length d; the group law is written through
 ``compose``/``inverse`` so callers never assume commutativity even though the
 instantiated groups are abelian.  For d = 1 the helpers accept bare ints.
+A finite cell set travels between modules as an (n, d) int64 array, built
+by ``as_cell_array``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
+
+import numpy as np
 
 from .errors import DimensionMismatchError, InputError
 
@@ -58,20 +63,48 @@ def identity(spec: GroupSpec) -> Element:
 
 
 def element(spec: GroupSpec, value) -> Element:
-    """Coerce a bare int (d = 1) or an int sequence to a canonical element."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        if spec.d != 1:
-            raise DimensionMismatchError(f"bare int {value} in dimension {spec.d}")
-        return (value,)
+    """Coerce a bare int (d = 1) or an int sequence to a canonical element.
+
+    Python and numpy integers are accepted; bools, floats and strings are not.
+    """
+    if isinstance(value, (str, bytes)):
+        raise InputError(f"cannot interpret {value!r} as a group element")
+    bare = not hasattr(value, "__iter__")
     try:
-        out = tuple(int(v) for v in value)
-    except TypeError as exc:
-        raise InputError(f"cannot interpret {value!r} as a group element") from exc
+        vals = (value,) if bare else tuple(value)
+        if bool in map(type, vals):
+            raise TypeError
+        out = tuple(map(operator.index, vals))
+    except TypeError:
+        raise InputError(f"group element {value!r} must contain only ints") from None
     if len(out) != spec.d:
+        if bare:
+            raise DimensionMismatchError(f"bare int {value} in dimension {spec.d}")
         raise DimensionMismatchError(
             f"element {out} has length {len(out)}, group dimension is {spec.d}"
         )
     return out
+
+
+def as_cell_array(spec: GroupSpec, cells) -> np.ndarray:
+    """The cells as an (n, d) int64 array, one row per cell in input order.
+
+    An int64 2-d array passes through after the dimension check; any other
+    collection is coerced element by element.
+    """
+    if isinstance(cells, np.ndarray) and cells.dtype == np.int64 and cells.ndim == 2:
+        arr = cells
+    else:
+        rows = [element(spec, c) for c in cells]
+        try:
+            arr = np.array(rows, dtype=np.int64).reshape(len(rows), spec.d)
+        except OverflowError:
+            raise InputError("cell coordinates must fit in int64") from None
+    if arr.shape[1] != spec.d:
+        raise DimensionMismatchError(
+            f"cells have dimension {arr.shape[1]}, group dimension is {spec.d}"
+        )
+    return arr
 
 
 def compose(spec: GroupSpec, a, b) -> Element:
@@ -100,10 +133,6 @@ def encode(g: Element) -> list[int]:
 
 
 def decode(spec: GroupSpec, data) -> Element:
-    if isinstance(data, (str, bytes)) or not hasattr(data, "__iter__"):
+    if not hasattr(data, "__iter__"):
         raise InputError(f"encoded element must be an int array, got {data!r}")
-    vals = list(data)
-    for v in vals:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise InputError(f"encoded element must contain only ints, got {v!r}")
-    return element(spec, vals)
+    return element(spec, data)

@@ -29,11 +29,6 @@ from .errors import (
 from .groups import Element, GroupSpec
 from .util import count_distinct_rows, make_rng
 
-# Below this many cells an index dict is built on first lookup; larger
-# windows use a vectorized scan per lookup instead (cheaper than building
-# a huge dict for a handful of queries).
-_INDEX_DICT_LIMIT = 4096
-
 
 class Comparison(enum.Enum):
     LESS = -1
@@ -41,19 +36,10 @@ class Comparison(enum.Enum):
     GREATER = 1
 
 
-def _as_cell_array(spec: GroupSpec, cells, n_expected: int) -> np.ndarray:
-    if isinstance(cells, np.ndarray) and cells.dtype == np.int64 and cells.ndim == 2:
-        arr = cells
-    else:
-        rows = [groups.element(spec, c) for c in cells]
-        arr = np.asarray(rows, dtype=np.int64).reshape(len(rows), spec.d)
+def _check_count(arr: np.ndarray, n_expected: int) -> np.ndarray:
     if arr.shape[0] != n_expected:
         raise InputError(
             f"window spans {n_expected} positions but {arr.shape[0]} cells given"
-        )
-    if arr.shape[1] != spec.d:
-        raise DimensionMismatchError(
-            f"cells have dimension {arr.shape[1]}, group dimension is {spec.d}"
         )
     return arr
 
@@ -61,7 +47,7 @@ def _as_cell_array(spec: GroupSpec, cells, n_expected: int) -> np.ndarray:
 class OrderWindow:
     """Positions lo..hi of an anchored order, with cell(0) = identity."""
 
-    __slots__ = ("group", "lo", "hi", "_arr", "_index")
+    __slots__ = ("group", "lo", "hi", "_arr")
 
     def __init__(self, group: GroupSpec, lo: int, hi: int, cells, *, _trusted=False):
         self.group = group
@@ -72,7 +58,7 @@ class OrderWindow:
         else:
             if self.lo > 0 or self.hi < 0:
                 raise InputError(f"window [{lo}, {hi}] must contain position 0")
-            arr = _as_cell_array(group, cells, self.hi - self.lo + 1)
+            arr = _check_count(groups.as_cell_array(group, cells), len(self))
             if not np.array_equal(arr[-self.lo], np.zeros(group.d, dtype=np.int64)):
                 raise InputError(
                     f"cell(0) must be the identity, got {tuple(arr[-self.lo])}"
@@ -82,7 +68,6 @@ class OrderWindow:
         arr = np.ascontiguousarray(arr, dtype=np.int64)
         arr.setflags(write=False)
         self._arr = arr
-        self._index = None
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
@@ -98,20 +83,21 @@ class OrderWindow:
         return tuple(int(x) for x in self._arr[i - self.lo])
 
     def cells(self) -> list[Element]:
-        return [tuple(int(x) for x in row) for row in self._arr]
+        return list(map(tuple, self._arr.tolist()))
+
+    def rows(self, i: int, j: int) -> np.ndarray:
+        """Read-only (j-i+1, d) array of the cells in positions i..j; no rows
+        if i > j."""
+        if i > j:
+            return self._arr[:0]
+        if i < self.lo or j > self.hi:
+            raise OutOfWindowError(
+                f"interval [{i}, {j}] outside window [{self.lo}, {self.hi}]"
+            )
+        return self._arr[i - self.lo : j - self.lo + 1]
 
     def index_of(self, g) -> int:
         g = groups.element(self.group, g)
-        if self._index is None and len(self) <= _INDEX_DICT_LIMIT:
-            self._index = {
-                tuple(int(x) for x in row): self.lo + r
-                for r, row in enumerate(self._arr)
-            }
-        if self._index is not None:
-            try:
-                return self._index[g]
-            except KeyError:
-                raise OutOfWindowError(f"element {g} not in window") from None
         mask = np.logical_and.reduce([self._arr[:, c] == x for c, x in enumerate(g)])
         hits = np.nonzero(mask)[0]
         if hits.size == 0:
@@ -147,22 +133,12 @@ class OrderWindow:
             "group": self.group.to_json(),
             "lo": self.lo,
             "hi": self.hi,
-            "cells": [[self.lo + r, groups.encode(tuple(row))] for r, row in enumerate(self._arr)],
+            "cells": [[self.lo + r, row] for r, row in enumerate(self._arr.tolist())],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "OrderWindow":
-        spec = GroupSpec.from_json(obj["group"])
-        lo, hi = int(obj["lo"]), int(obj["hi"])
-        by_pos = {}
-        for i, enc in obj["cells"]:
-            i = int(i)
-            if i in by_pos:
-                raise InputError(f"duplicate position {i} in window JSON")
-            by_pos[i] = groups.decode(spec, enc)
-        if sorted(by_pos) != list(range(lo, hi + 1)):
-            raise InputError("window JSON cells must cover exactly lo..hi")
-        return cls(spec, lo, hi, [by_pos[i] for i in range(lo, hi + 1)])
+        return _positions_from_json(cls, obj, "cells", 1)
 
 
 class IncrementWindow:
@@ -183,7 +159,7 @@ class IncrementWindow:
         if isinstance(incr, np.ndarray) and _trusted:
             arr = incr
         else:
-            arr = _as_cell_array(group, incr, self.hi - self.lo)
+            arr = _check_count(groups.as_cell_array(group, incr), self.hi - self.lo)
         arr = np.ascontiguousarray(arr, dtype=np.int64)
         arr.setflags(write=False)
         self._arr = arr
@@ -221,22 +197,29 @@ class IncrementWindow:
             "group": self.group.to_json(),
             "lo": self.lo,
             "hi": self.hi,
-            "incr": [[self.lo + r, groups.encode(tuple(row))] for r, row in enumerate(self._arr)],
+            "incr": [[self.lo + r, row] for r, row in enumerate(self._arr.tolist())],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "IncrementWindow":
-        spec = GroupSpec.from_json(obj["group"])
-        lo, hi = int(obj["lo"]), int(obj["hi"])
-        by_pos = {}
-        for i, enc in obj["incr"]:
-            i = int(i)
-            if i in by_pos:
-                raise InputError(f"duplicate position {i} in increments JSON")
-            by_pos[i] = groups.decode(spec, enc)
-        if sorted(by_pos) != list(range(lo, hi)):
-            raise InputError("increments JSON must cover exactly lo..hi-1")
-        return cls(spec, lo, hi, [by_pos[i] for i in range(lo, hi)])
+        return _positions_from_json(cls, obj, "incr", 0)
+
+
+def _positions_from_json(cls, obj: dict, key: str, extra: int):
+    """Build a window (extra = 1) or increments (extra = 0) from JSON whose
+    `key` lists [position, element] pairs for exactly lo..hi-1+extra."""
+    spec = GroupSpec.from_json(obj["group"])
+    lo, hi = int(obj["lo"]), int(obj["hi"])
+    by_pos = {}
+    for i, enc in obj[key]:
+        i = int(i)
+        if i in by_pos:
+            raise InputError(f"duplicate position {i} in {cls.__name__} JSON")
+        by_pos[i] = groups.decode(spec, enc)
+    positions = list(range(lo, hi + extra))
+    if sorted(by_pos) != positions:
+        raise InputError(f"{cls.__name__} JSON {key} must cover exactly {lo}..{hi - 1 + extra}")
+    return cls(spec, lo, hi, [by_pos[i] for i in positions])
 
 
 @dataclass(frozen=True)
@@ -315,13 +298,7 @@ def _shift(w: OrderWindow, k: int) -> OrderWindow:
 
 def interval(w: OrderWindow, i: int, j: int) -> list[Element]:
     """Cells in positions i..j (inclusive); empty if i > j."""
-    if i > j:
-        return []
-    if i < w.lo or j > w.hi:
-        raise OutOfWindowError(
-            f"interval [{i}, {j}] outside window [{w.lo}, {w.hi}]"
-        )
-    return [tuple(int(x) for x in row) for row in w.array[i - w.lo : j - w.lo + 1]]
+    return list(map(tuple, w.rows(i, j).tolist()))
 
 
 def interval_from_set(w: OrderWindow, F, n: int, side: str = "forward") -> set[Element]:
@@ -338,14 +315,7 @@ def interval_from_set(w: OrderWindow, F, n: int, side: str = "forward") -> set[E
             lo_i, hi_i = k, k + n
         else:
             lo_i, hi_i = k - n, k
-        if lo_i < w.lo or hi_i > w.hi:
-            raise OutOfWindowError(
-                f"interval [{lo_i}, {hi_i}] around {g} outside window [{w.lo}, {w.hi}]"
-            )
-        out.update(
-            tuple(int(x) for x in row)
-            for row in w.array[lo_i - w.lo : hi_i - w.lo + 1]
-        )
+        out.update(map(tuple, w.rows(lo_i, hi_i).tolist()))
     return out
 
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import groups
 from .errors import BudgetError, DimensionMismatchError, InputError
-from .groups import Element, GroupSpec
-from .util import make_rng, spawn_seeds
+from .groups import GroupSpec
+from .util import count_distinct_rows, make_rng, spawn_seeds
 
 _PROB_TOL = 1e-12
 _ENUM_BUDGET = 1 << 22
@@ -232,11 +232,11 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _check_cells(spec, cells) -> list:
-    out = [groups.element(spec.group, c) for c in cells]
-    if len(set(out)) != len(out):
+def _check_cells(spec, cells) -> np.ndarray:
+    arr = groups.as_cell_array(spec.group, cells)
+    if count_distinct_rows(arr) != len(arr):
         raise InputError("cells must be distinct")
-    return out
+    return arr
 
 
 def _inverse_cdf(rows_cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -261,9 +261,8 @@ def sample_many(spec, cells, m: int, seed) -> np.ndarray:
         rng = make_rng(seed)
         if n == 0:
             return np.zeros((m, 0), dtype=np.int64)
-        xs = np.asarray([c[0] for c in cs], dtype=np.int64)
-        order = np.argsort(xs)
-        sorted_x = xs[order]
+        order = np.argsort(cs[:, 0])
+        sorted_x = cs[order, 0]
         P = spec.matrix
         out_sorted = np.empty((m, n), dtype=np.int64)
         cum0 = np.cumsum(np.asarray(spec.initial))
@@ -286,8 +285,7 @@ def sample_many(spec, cells, m: int, seed) -> np.ndarray:
             [rng.integers(0, p, size=m, dtype=np.int64) for p in per], axis=1
         )
         base_idx = sample_many(spec.base, cs, m, base_seed)
-        cell_arr = np.asarray(cs, dtype=np.int64)
-        residues = (cell_arr[None, :, :] + phases[:, None, :]) % per
+        residues = (cs[None, :, :] + phases[:, None, :]) % per
         strides = np.empty(len(per), dtype=np.int64)
         acc = 1
         for col in range(len(per) - 1, -1, -1):
@@ -308,7 +306,7 @@ def sample(spec, cells, seed) -> Configuration:
     """One seeded exact draw on the given cells."""
     cs = _check_cells(spec, cells)
     idx = sample_many(spec, cs, 1, seed)[0]
-    return Configuration(tuple(cs), tuple(symbols_of(spec, idx)))
+    return Configuration(tuple(map(tuple, cs.tolist())), tuple(symbols_of(spec, idx)))
 
 
 def _entropy_bits(p: np.ndarray) -> float:
@@ -373,9 +371,8 @@ def exact_cylinder_law(spec, cells) -> dict:
                 out[tuple(spec.alphabet[i] for i in combo)] = p
         return out
     if isinstance(spec, MarkovLine):
-        xs = np.asarray([c[0] for c in cs], dtype=np.int64)
-        order = np.argsort(xs)
-        law = _markov_tensor(spec, xs[order])
+        order = np.argsort(cs[:, 0])
+        law = _markov_tensor(spec, cs[order, 0])
         # transpose sorted-axis tensor back to the caller's cell order
         inv = np.empty(n, dtype=int)
         inv[order] = np.arange(n)
@@ -423,17 +420,15 @@ def exact_conditional_entropy(spec, target, conditioners) -> float:
         raise BudgetError(
             f"{len(conds)} conditioners exceed the enumeration budget of {_MAX_CONDITIONERS}"
         )
+    in_conds = bool((conds == tgt).all(axis=1).any())
     if isinstance(spec, Bernoulli):
-        if tgt in conds:
-            return 0.0
-        return _entropy_bits(np.asarray(spec.probs))
+        return 0.0 if in_conds else _entropy_bits(np.asarray(spec.probs))
     if isinstance(spec, MarkovLine):
-        if tgt in conds:
+        if in_conds:
             return 0.0
-        cells = conds + [tgt]
-        xs = np.asarray([c[0] for c in cells], dtype=np.int64)
-        order = np.argsort(xs)
-        law = _markov_tensor(spec, xs[order])
+        cells = np.concatenate([conds, [tgt]])
+        order = np.argsort(cells[:, 0])
+        law = _markov_tensor(spec, cells[order, 0])
         target_axis = int(np.nonzero(order == len(cells) - 1)[0][0])
         h_joint = _entropy_bits(law)
         h_cond = _entropy_bits(law.sum(axis=target_axis))

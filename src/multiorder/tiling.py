@@ -24,7 +24,7 @@ import numpy as np
 
 from . import groups
 from .errors import InputError, MultiorderError
-from .groups import Element, GroupSpec
+from .groups import GroupSpec
 from .orders import OrderWindow
 from .util import child_seed, make_rng
 

@@ -57,15 +57,11 @@ def pack_rows(arr: np.ndarray):
     return codes
 
 
-def sorted_distinct(codes: np.ndarray) -> np.ndarray:
-    """The distinct values of a nonempty 1-d array, sorted: a sort plus a
-    neighbour comparison (np.unique hashes int64 input on numpy 2.4, slower)."""
-    codes = np.sort(codes)
-    return codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
-
-
 def count_distinct_rows(arr: np.ndarray) -> int:
+    """Distinct rows of an integer array: packed codes, sorted and compared
+    with their neighbours (np.unique hashes int64 input on numpy 2.4, slower)."""
     codes = pack_rows(arr)
     if codes is None:
         return np.unique(np.asarray(arr, dtype=np.int64), axis=0).shape[0]
-    return int(sorted_distinct(codes).size)
+    codes = np.sort(codes)
+    return 1 + int(np.count_nonzero(codes[1:] != codes[:-1]))

@@ -1,11 +1,14 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import multiorder
 from multiorder import cli, entropy, orders, tiling
 from multiorder.errors import ConsistencyError
 from multiorder.schema import EXPERIMENT_CONFIG_SCHEMA
@@ -279,3 +282,38 @@ def test_module_entrypoint_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
+
+
+AUDIT = ["folner", "audit", "--name", "dyadic_standard", "--level", "6",
+         "--seed", "1"]
+
+
+@pytest.mark.parametrize("case", [
+    "convert_json_array", "convert_window_without_group",
+    "audit_non_int_candidate", "audit_zero_samples", "threads_env_not_int",
+])
+def test_malformed_input_exits_2_without_traceback(tmp_path, case):
+    src_dir = str(Path(multiorder.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src_dir] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    env.pop("MULTIORDER_THREADS", None)
+    doc = tmp_path / "input.json"
+    if case == "convert_json_array":
+        doc.write_text("[1, 2]")
+        args = ["order", "convert", "--input", str(doc), "--to", "window"]
+    elif case == "convert_window_without_group":
+        doc.write_text(json.dumps({"form": "window"}))
+        args = ["order", "convert", "--input", str(doc), "--to", "increments"]
+    elif case == "audit_non_int_candidate":
+        args = AUDIT + ["--candidates", "4,x"]
+    elif case == "audit_zero_samples":
+        args = AUDIT + ["--candidates", "4", "--samples", "0"]
+    else:
+        doc.write_text(json.dumps(base_config(tmp_path)))
+        args = ["entropy", "run", "--config", str(doc)]
+        env["MULTIORDER_THREADS"] = "abc"
+    proc = subprocess.run([sys.executable, "-m", "multiorder", *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config/input error: ")

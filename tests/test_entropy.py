@@ -171,6 +171,14 @@ def test_mc_integral_input_errors():
         )
 
 
+def test_successor_consistency_rejects_no_orders():
+    spec = tiling.builtin("dyadic_alternating")
+    for n_orders in (0, -1):
+        with pytest.raises(InputError):
+            entropy.successor_consistency(flip_chain(), spec, j=2, n_orders=n_orders,
+                                          m=10, level=4, seed=0)
+
+
 def test_successor_step_moves_anchor():
     chain = flip_chain()
     w = natural_window(-3, 3)
@@ -204,17 +212,19 @@ def test_successor_step_rejects_positions_outside_window():
 
 
 def test_successor_step_builds_no_index():
-    # 65 536 cells, above the index-dict limit, and 1024 cells, below it.
+    # A 65 536-cell Hilbert window and a 1024-cell dyadic one: four unit
+    # steps back equal one act by cell(-4), with the symbols kept in order.
     spec = tiling.builtin("hilbert")
     addr, _ = tiling.sample_straight_address(spec, 8, seed=3, need_past=4)
     windows = [tiling.expand(addr), alternating_order(10, seed=3, need_past=4)]
     procs = [Bernoulli(GRID, (0.5, 0.5)), flip_chain()]
     for w, proc in zip(windows, procs):
-        frame = make_frame(proc, w, seed=1)
+        start = make_frame(proc, w, seed=1)
+        frame = start
         for _ in range(4):
             frame = successor_step(frame, -1)
-            assert frame.window._index is None
-        assert w._index is None
+        assert frame.window == orders.act(w, w.cell(-4))
+        assert frame.symbols == start.symbols
 
 
 def test_successor_step_equals_act_by_cell():
@@ -261,15 +271,16 @@ def test_successor_consistency_routes_agree():
 
 
 def test_successor_consistency_detects_tampering(monkeypatch):
-    real = orders.interval
+    # The direct route reads the conditioners as window rows -3..-1.
+    real = orders.OrderWindow.rows
 
     def garbled(w, a, b):
         out = real(w, a, b)
         if len(out) == 3:
-            out = [out[1], out[0]] + out[2:]
+            out = out[[1, 0, 2]]
         return out
 
-    monkeypatch.setattr(entropy.orders, "interval", garbled)
+    monkeypatch.setattr(orders.OrderWindow, "rows", garbled)
     with pytest.raises(ConsistencyError):
         entropy.successor_consistency(
             flip_chain(), tiling.builtin("dyadic_alternating"), j=3, n_orders=2,

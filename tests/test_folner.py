@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from multiorder import folner, orders, tiling
+from multiorder import folner, orders, tiling, util
 from multiorder.errors import InputError, OutOfWindowError
 from multiorder.groups import GroupSpec
 from multiorder.orders import OrderWindow
@@ -42,6 +44,13 @@ def test_square_cross_ratio_exact(k):
     assert got == Fraction(4 * (1 << k), 1 << (2 * k)) == Fraction(4, 1 << k)
 
 
+def set_ratio(F, K):
+    """|KF symmetric-difference F| / |F| by Python set arithmetic."""
+    fs = {tuple(int(x) for x in f) for f in F}
+    kf = {tuple(a + int(b) for a, b in zip(f, k)) for k in K for f in fs}
+    return Fraction(len(kf ^ fs), len(fs))
+
+
 def test_array_path_agrees_with_set_oracle():
     rng = np.random.default_rng(17)
     pts = {(int(x), int(y)) for x, y in rng.integers(0, 90, size=(6000, 2))}
@@ -49,7 +58,54 @@ def test_array_path_agrees_with_set_oracle():
     got = folner.invariance_ratio(GRID, pts, K)
     kf = {(x + a, y + b) for (a, b) in K for (x, y) in pts}
     assert got == Fraction(len(kf ^ pts), len(pts))
-    assert len(pts) * len(K) > folner._ARRAY_PATH_LIMIT
+
+
+@pytest.mark.parametrize("case", ["k_without_identity", "duplicated_f", "near_2_40"])
+def test_ratio_same_for_tuple_and_array_input(case):
+    rng = np.random.default_rng(23)
+    F = rng.integers(-6, 6, size=(50, 2))
+    K = np.array([[1, 0], [0, 2], [-3, 1]])
+    if case == "duplicated_f":
+        F = np.concatenate([F, F[:20], F[:5]])
+        K = np.concatenate([K, [[0, 0], [1, 0]]])
+    if case == "near_2_40":
+        # rows spread over 2^40 in both columns cannot be packed into int64
+        F = np.concatenate([F, F + 2**40, F - 2**40])
+        K = np.concatenate([K, [[2**40, -2**40]]])
+        assert util.pack_rows(np.concatenate([F, F + K[-1]])) is None
+    F = F.astype(np.int64)
+    K = K.astype(np.int64)
+    tuples_f = [tuple(int(x) for x in row) for row in F]
+    tuples_k = {tuple(int(x) for x in row) for row in K}
+    got = folner.invariance_ratio(GRID, F, K)
+    assert got == folner.invariance_ratio(GRID, tuples_f, tuples_k)
+    assert got == folner.invariance_ratio(GRID, F, tuples_k)
+    assert got == set_ratio(tuples_f, tuples_k)
+
+
+def test_ratio_rejects_products_outside_int64():
+    top, bottom = 2**63 - 1, -2**63
+    with pytest.raises(InputError):
+        folner.invariance_ratio(LINE, [(bottom,), (top,)], [(1,)])
+    with pytest.raises(InputError):
+        folner.invariance_ratio(GRID, [(0, bottom)], [(0, -1)])
+    F, K = [(top - 1,), (top,)], [(0,), (-1,)]
+    assert folner.invariance_ratio(LINE, F, K) == set_ratio(F, K) == Fraction(1, 2)
+
+
+cell_sets = {
+    d: st.lists(st.tuples(*[st.integers(-8, 8)] * d), min_size=1, max_size=25)
+    for d in (1, 2)
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2]))
+def test_ratio_matches_set_count_property(data, d):
+    F = data.draw(cell_sets[d])
+    K = data.draw(cell_sets[d])
+    spec = GroupSpec.grid(d)
+    assert folner.invariance_ratio(spec, F, K) == set_ratio(F, K)
 
 
 def test_ratio_translation_invariant():

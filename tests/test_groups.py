@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 
 from multiorder import groups
@@ -74,3 +75,33 @@ def test_bad_inputs_rejected():
         groups.box(GroupSpec.line(), -1)
     with pytest.raises(InputError):
         GroupSpec.from_json({"kind": "int_line", "d": 3})
+
+
+@pytest.mark.parametrize("value", ["12", b"12", [1.5, 2], ["a", 1], [True, 0], (1, None), 1.0])
+def test_element_rejects_non_integers(value):
+    with pytest.raises(InputError):
+        groups.element(GroupSpec.grid(2), value)
+
+
+def test_element_accepts_numpy_integers():
+    assert groups.element(GroupSpec.grid(2), (np.int64(3), np.int32(-4))) == (3, -4)
+    assert groups.element(GroupSpec.grid(2), np.array([5, 6])) == (5, 6)
+    assert groups.element(GroupSpec.line(), np.int64(7)) == (7,)
+    assert all(type(x) is int for x in groups.element(GroupSpec.grid(2), np.array([5, 6])))
+
+
+def test_as_cell_array_coerces_and_passes_arrays_through():
+    spec = GroupSpec.grid(2)
+    arr = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    assert groups.as_cell_array(spec, arr) is arr
+    assert np.array_equal(groups.as_cell_array(spec, [(1, 2), [3, 4]]), arr)
+    assert groups.as_cell_array(spec, []).shape == (0, 2)
+    assert np.array_equal(groups.as_cell_array(GroupSpec.line(), [3, (4,)]), [[3], [4]])
+    with pytest.raises(DimensionMismatchError):
+        groups.as_cell_array(spec, np.zeros((2, 3), dtype=np.int64))
+    with pytest.raises(DimensionMismatchError):
+        groups.as_cell_array(spec, [(1, 2, 3)])
+    with pytest.raises(InputError):
+        groups.as_cell_array(spec, [(1, 2.5)])
+    with pytest.raises(InputError):
+        groups.as_cell_array(spec, [(2**70, 0)])

@@ -76,9 +76,9 @@ def test_from_increments_rejects_revisit():
 
 
 def large_hilbert_window():
-    """An expanded Hilbert level-7 address: 16384 cells, past the index-dict limit."""
+    """An expanded Hilbert level-7 address: 16384 cells."""
     (w,) = sampled_windows("hilbert", 7, 1, seed=4242)
-    assert len(w) > orders._INDEX_DICT_LIMIT
+    assert len(w) == 16384
     return w
 
 
@@ -98,6 +98,17 @@ def test_index_of_scan_on_large_window():
     assert not w.contains(missing)
     with pytest.raises(OutOfWindowError):
         orders.act(w, missing)
+
+
+def test_index_of_same_for_tuple_and_array_elements():
+    w = large_hilbert_window()
+    rng = np.random.default_rng(12)
+    for pos in rng.integers(w.lo, w.hi + 1, 20):
+        row = w.array[pos - w.lo]
+        as_tuple = tuple(int(x) for x in row)
+        assert w.index_of(row) == w.index_of(as_tuple) == w.index_of(list(row)) == pos
+    line = natural_window(-3, 4)
+    assert line.index_of(np.int64(2)) == line.index_of(2) == line.index_of((2,)) == 2
 
 
 def test_from_increments_rejects_revisit_on_large_grid_window():

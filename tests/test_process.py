@@ -218,6 +218,37 @@ def test_sampling_deterministic_per_seed(which):
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("which", ["bernoulli", "markov", "overlay", "overlay_grid"])
+def test_sample_many_same_for_tuple_and_array_cells(which):
+    spec = {
+        "bernoulli": fair_line(),
+        "markov": flip_chain(),
+        "overlay": PeriodicOverlay(base=fair_line(), period=(3,)),
+        "overlay_grid": PeriodicOverlay(base=Bernoulli(GRID, (0.3, 0.7)), period=(2, 3)),
+    }[which]
+    rng = np.random.default_rng(41)
+    d = spec.group.d
+    arr = rng.choice(60, size=9, replace=False).reshape(9, 1) - 30
+    if d == 2:
+        arr = np.concatenate([arr, rng.integers(-5, 5, size=(9, 1))], axis=1)
+    arr = arr.astype(np.int64)
+    tuples = [tuple(int(x) for x in row) for row in arr]
+    got = process.sample_many(spec, arr, 40, seed=8)
+    assert np.array_equal(got, process.sample_many(spec, tuples, 40, seed=8))
+    assert process.sample(spec, arr, seed=3) == process.sample(spec, tuples, seed=3)
+    with pytest.raises(InputError):
+        process.sample_many(spec, np.concatenate([arr, arr[:1]]), 4, seed=8)
+
+
+def test_exact_conditional_entropy_target_among_conditioners():
+    chain = flip_chain()
+    assert process.exact_conditional_entropy(chain, (1,), [(0,), (1,)]) == 0.0
+    assert process.exact_conditional_entropy(fair_line(), (1,), [(1,)]) == 0.0
+    # a conditioner sharing no full row with the target does not count
+    grid = Bernoulli(GRID, (0.5, 0.5))
+    assert process.exact_conditional_entropy(grid, (1, 2), [(1, 0), (0, 2)]) == 1.0
+
+
 def test_sample_configuration():
     chain = flip_chain()
     cells = [(2,), (0,), (-1,)]
