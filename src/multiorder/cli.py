@@ -5,7 +5,10 @@ the iid demo sampler), ``tiling`` (curve dumps and rule validation),
 ``folner`` (interval invariance audits, CSV), and ``entropy`` (seeded
 experiment runner over a JSON config).  Reports are byte-deterministic for
 a fixed config and seed: no timestamps, sorted keys, and results that do
-not depend on the thread count.
+not depend on the thread count.  ``--threads`` (else the config's
+``threads``, else MULTIORDER_THREADS, else 1; at least 1) fans the orders
+of every multi-order kind, successor_consistency included, out over
+threads.
 
 Exit codes: 0 success; 1 failed validation or runtime error; 2 config or
 input violation; 3 successor-consistency failure; 4 undersampled run under
@@ -29,7 +32,7 @@ from . import __version__, entropy, folner, groups, orders, process, tiling
 from .errors import ConsistencyError, InputError, MultiorderError
 from .groups import GroupSpec
 from .schema import EXPERIMENT_CONFIG_SCHEMA, SCHEMA_VERSION
-from .util import child_seed, spawn_seeds
+from .util import child_seed
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -198,32 +201,41 @@ def _run_experiment(exp: dict, master_seed: int, index: int, threads: int):
     if kind == "successor_consistency":
         j, n_orders, m = need("j", "orders", "samples")
         return entropy.successor_consistency(proc, spec, j, n_orders, m, level,
-                                             seed, bias=bias)
+                                             seed, bias=bias, threads=threads)
+    # One order, seeded by the experiment seed itself.
     if kind == "block_entropy":
-        (n_span, m) = need("n", "samples")
-        addr_seed, samp_seed = spawn_seeds(seed, 2)
-        addr, _ = tiling.sample_straight_address(spec, level, addr_seed,
-                                                need_future=n_span)
-        w = tiling.expand(addr)
-        return entropy.block_entropy_along_order(proc, w, n_span, m, samp_seed,
-                                                 bias=bias)
+        n_span, m = need("n", "samples")
+        (report,), _ = entropy.per_order(
+            spec, level, [seed], lambda i, w, s: entropy.block_entropy_along_order(
+                proc, w, n_span, m, child_seed(s, 1), bias=bias),
+            need_future=n_span)
+        return report
     if kind == "cond_entropy":
-        (j, m) = need("j", "samples")
-        addr_seed, samp_seed = spawn_seeds(seed, 2)
-        addr, _ = tiling.sample_straight_address(spec, level, addr_seed,
-                                                need_past=j)
-        w = tiling.expand(addr)
-        return entropy.cond_entropy_along_order(proc, w, j, m, samp_seed,
-                                               bias=bias)
+        j, m = need("j", "samples")
+        (report,), _ = entropy.per_order(
+            spec, level, [seed], lambda i, w, s: entropy.cond_entropy_along_order(
+                proc, w, j, m, child_seed(s, 1), bias=bias),
+            need_past=j)
+        return report
     raise InputError(f"unknown experiment kind {kind!r}")
 
 
-def _env_threads() -> int:
-    value = os.environ.get("MULTIORDER_THREADS", "1")
-    try:
-        return int(value)
-    except ValueError:
-        raise InputError(f"MULTIORDER_THREADS must be an int, got {value!r}") from None
+def _threads(args, config) -> int:
+    """--threads, else the config's threads (schema: >= 1), else
+    MULTIORDER_THREADS, else 1; a count below 1 is an input error."""
+    if args.threads is not None:
+        value, source = args.threads, "--threads"
+    elif "threads" in config:
+        return config["threads"]
+    else:
+        raw = os.environ.get("MULTIORDER_THREADS", "1")
+        try:
+            value, source = int(raw), "MULTIORDER_THREADS"
+        except ValueError:
+            raise InputError(f"MULTIORDER_THREADS must be an int, got {raw!r}") from None
+    if value < 1:
+        raise InputError(f"{source} must be >= 1, got {value}")
+    return value
 
 
 def _cmd_entropy_run(args) -> int:
@@ -237,7 +249,7 @@ def _cmd_entropy_run(args) -> int:
     config_hash = hashlib.sha256(
         json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
-    threads = args.threads or config.get("threads") or _env_threads()
+    threads = _threads(args, config)
     out_dir = Path(config.get("output_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     strict = bool(config.get("strict_sampling", False))

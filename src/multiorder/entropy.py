@@ -7,11 +7,14 @@ conditional entropy is estimated as joint-block entropy minus conditioner
 block entropy computed from the same sample stream, so the per-sample
 information terms give a valid standard error.
 
-Monte-Carlo aggregation averages per-order estimates over independently
-sampled straight orders; the reported standard error is the across-order
-standard deviation divided by sqrt(orders).  Reports carry the sampling
-truncations, the bias mode, and an undersampling flag raised whenever
-M < 10 * |alphabet|**(block length).
+Every estimator along sampled orders runs through one driver,
+``per_order``: for each order seed it draws a straight address, expands
+its window and evaluates a per-order statistic, fanning the orders out over
+threads and returning the results in seed order.  Monte-Carlo aggregation
+averages the per-order estimates; the reported standard error is the
+across-order standard deviation divided by sqrt(orders).  Reports carry the
+sampling truncations, the bias mode, and an undersampling flag raised
+whenever M < 10 * |alphabet|**(block length).
 """
 
 from __future__ import annotations
@@ -32,17 +35,28 @@ from .errors import (
 )
 from .orders import OrderWindow
 from .process import Configuration
-from .util import count_distinct_rows, spawn_seeds
+from .util import child_seed, count_distinct_rows, spawn_seeds
 
 _LN2 = math.log(2.0)
 _BIAS_MODES = ("plugin", "miller_madow")
 _UNDERSAMPLE_FACTOR = 10
 
 
-def _check_bias(bias: str) -> str:
+def _check_bias(bias: str) -> None:
     if bias not in _BIAS_MODES:
         raise InputError(f"bias mode must be one of {_BIAS_MODES}, got {bias!r}")
-    return bias
+
+
+def _check_inputs(proc, group, bias: str = "plugin", n_orders: int = 1) -> None:
+    """The checks every estimator shares: bias mode, order count, and the
+    process living on the group of the window or tiling system."""
+    _check_bias(bias)
+    if n_orders < 1:
+        raise InputError(f"order count must be >= 1, got {n_orders}")
+    if proc.group != group:
+        raise DimensionMismatchError(
+            f"process group {proc.group} does not match group {group}"
+        )
 
 
 @dataclass(frozen=True)
@@ -86,64 +100,55 @@ def plugin_entropy(counts, bias: str = "plugin") -> float:
     return h
 
 
-def _encode_columns(samples: np.ndarray, k: int) -> np.ndarray:
+def _block_terms(samples: np.ndarray, k: int):
+    """Per-sample -log2 of the empirical probability of each row's block
+    (rows encoded base k), plus the block's support size.  A block of no
+    cells has probability one: zero terms, support one."""
     m, n = samples.shape
     if n == 0:
-        return np.zeros(m, dtype=np.int64)
+        return np.zeros(m), 1
     if k**n >= 2**62:
         raise BudgetError(f"cannot encode {n}-cell blocks over {k} symbols exactly")
     weights = np.array([k**p for p in range(n - 1, -1, -1)], dtype=np.int64)
-    return samples.astype(np.int64) @ weights
-
-
-def _plugin_terms(codes: np.ndarray):
-    """Per-sample -log2 of the empirical block probability, plus support."""
+    codes = samples.astype(np.int64) @ weights
     _, inverse, counts = np.unique(codes, return_inverse=True, return_counts=True)
-    phat = counts[inverse] / codes.shape[0]
-    return -np.log2(phat), int(counts.size)
+    return -np.log2(counts[inverse] / m), int(counts.size)
 
 
-def _mean_se(terms: np.ndarray):
+def _mean_se(terms):
+    """Mean and standard error; one term has standard error 0."""
+    terms = np.asarray(terms)
     m = terms.shape[0]
     est = float(terms.mean())
     se = float(terms.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
     return est, se
 
 
-def _undersampled(m: int, alpha: int, block_len: int) -> bool:
-    return m < _UNDERSAMPLE_FACTOR * alpha**block_len
+def _undersampled(proc, m: int, j: int) -> bool:
+    """Whether m draws are too few for blocks of j + 1 cells."""
+    return m < _UNDERSAMPLE_FACTOR * process.alphabet_size(proc) ** (j + 1)
 
 
-def _check_group(proc, w: OrderWindow) -> None:
-    if proc.group != w.group:
-        raise DimensionMismatchError(
-            f"process group {proc.group} does not match window group {w.group}"
-        )
+def _report(proc, est: float, se: float, m: int, j: int, bias: str,
+            orders: int = 1, **extra) -> EntropyReport:
+    """The report of an estimate from m draws of blocks of j + 1 cells."""
+    return EntropyReport(estimate=est, stderr=se, samples=m, orders=orders,
+                         truncation=j, bias_mode=bias,
+                         undersampled=_undersampled(proc, m, j), **extra)
 
 
 def block_entropy_along_order(proc, w: OrderWindow, n: int, m: int, seed,
                               bias: str = "plugin") -> EntropyReport:
     """Per-cell entropy of the block on order positions 0..n."""
-    _check_bias(bias)
-    _check_group(proc, w)
+    _check_inputs(proc, w.group, bias)
     if n < 0:
         raise InputError(f"block span must be >= 0, got {n}")
     idx = process.sample_many(proc, w.rows(0, n), m, seed)
-    k = process.alphabet_size(proc)
-    terms, support = _plugin_terms(_encode_columns(idx, k))
+    terms, support = _block_terms(idx, process.alphabet_size(proc))
     est, se = _mean_se(terms)
     if bias == "miller_madow":
         est += (support - 1) / (2.0 * m * _LN2)
-    width = n + 1
-    return EntropyReport(
-        estimate=est / width,
-        stderr=se / width,
-        samples=m,
-        orders=1,
-        truncation=n,
-        bias_mode=bias,
-        undersampled=_undersampled(m, k, width),
-    )
+    return _report(proc, est / (n + 1), se / (n + 1), m, n, bias)
 
 
 def _with_anchor(group, cells) -> np.ndarray:
@@ -159,11 +164,8 @@ def _cond_estimate(proc, cond_cells, m: int, seed, bias: str):
         raise InputError("conditioner cells must be distinct and exclude the anchor")
     idx = process.sample_many(proc, cells, m, seed)
     k = process.alphabet_size(proc)
-    joint_terms, kj = _plugin_terms(_encode_columns(idx, k))
-    if len(cells) > 1:
-        cond_terms, kc = _plugin_terms(_encode_columns(idx[:, :-1], k))
-    else:
-        cond_terms, kc = np.zeros(m), 1
+    joint_terms, kj = _block_terms(idx, k)
+    cond_terms, kc = _block_terms(idx[:, :-1], k)
     est, se = _mean_se(joint_terms - cond_terms)
     if bias == "miller_madow":
         est += (kj - kc) / (2.0 * m * _LN2)
@@ -173,29 +175,38 @@ def _cond_estimate(proc, cond_cells, m: int, seed, bias: str):
 def cond_entropy_along_order(proc, w: OrderWindow, j: int, m: int, seed,
                              bias: str = "plugin") -> EntropyReport:
     """Entropy of the anchor symbol given the j order-predecessors."""
-    _check_bias(bias)
-    _check_group(proc, w)
+    _check_inputs(proc, w.group, bias)
     if j < 0:
         raise InputError(f"depth must be >= 0, got {j}")
     est, se = _cond_estimate(proc, w.rows(-j, -1), m, seed, bias)
-    k = process.alphabet_size(proc)
-    return EntropyReport(
-        estimate=est,
-        stderr=se,
-        samples=m,
-        orders=1,
-        truncation=j,
-        bias_mode=bias,
-        undersampled=_undersampled(m, k, j + 1),
-    )
+    return _report(proc, est, se, m, j, bias)
 
 
-def _run_indexed(tasks, threads: int):
-    """Evaluate index-keyed thunks, preserving order regardless of threads."""
+def per_order(spec: tiling.TilingSystemSpec, level: int, order_seeds, statistic,
+              need_past: int = 0, need_future: int = 0, threads: int = 1):
+    """Evaluate a statistic on one sampled straight order per seed.
+
+    For order i with seed s: draw a straight address at the given level from
+    child_seed(s, 0) whose window covers [-need_past, need_future], expand
+    it, and call statistic(i, window, s); the statistic takes its own
+    streams as child_seed(s, 1), child_seed(s, 2), ....  Returns the
+    statistics in seed order and the total address retries.  Orders run on
+    up to ``threads`` threads; neither result nor the first error raised
+    (in seed order) depends on the count.
+    """
+    def one(i):
+        s = order_seeds[i]
+        addr, retries = tiling.sample_straight_address(
+            spec, level, child_seed(s, 0), need_past=need_past, need_future=need_future
+        )
+        return statistic(i, tiling.expand(addr), s), retries
+
     if threads <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda t: t(), tasks))
+        pairs = [one(i) for i in range(len(order_seeds))]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            pairs = list(pool.map(one, range(len(order_seeds))))
+    return [p[0] for p in pairs], sum(p[1] for p in pairs)
 
 
 def mc_integral(proc, spec: tiling.TilingSystemSpec, j: int, n_orders: int,
@@ -208,42 +219,17 @@ def mc_integral(proc, spec: tiling.TilingSystemSpec, j: int, n_orders: int,
     entropy given its j order-predecessors from m fresh draws.  As j grows
     the average approaches the process entropy rate from above.
     """
-    _check_bias(bias)
+    _check_inputs(proc, spec.group, bias, n_orders)
     if j < 0:
         raise InputError(f"depth must be >= 0, got {j}")
-    if n_orders < 1:
-        raise InputError(f"order count must be >= 1, got {n_orders}")
-    if proc.group != spec.group:
-        raise DimensionMismatchError("process and tiling system live on different groups")
-    children = spawn_seeds(seed, n_orders)
 
-    def make_task(i):
-        def task():
-            addr_seed, samp_seed = spawn_seeds(children[i], 2)
-            addr, retries = tiling.sample_straight_address(
-                spec, level, addr_seed, need_past=j
-            )
-            w = tiling.expand(addr)
-            est, _ = _cond_estimate(proc, w.rows(-j, -1), m, samp_seed, bias)
-            return est, retries
+    def statistic(i, w, s):
+        return _cond_estimate(proc, w.rows(-j, -1), m, child_seed(s, 1), bias)[0]
 
-        return task
-
-    results = _run_indexed([make_task(i) for i in range(n_orders)], threads)
-    ests = np.array([r[0] for r in results])
-    resamples = int(sum(r[1] for r in results))
-    est, se = _mean_se(ests) if n_orders > 1 else (float(ests[0]), 0.0)
-    k = process.alphabet_size(proc)
-    return EntropyReport(
-        estimate=est,
-        stderr=se,
-        samples=m,
-        orders=n_orders,
-        truncation=j,
-        bias_mode=bias,
-        undersampled=_undersampled(m, k, j + 1),
-        resamples=resamples,
-    )
+    ests, resamples = per_order(spec, level, spawn_seeds(seed, n_orders), statistic,
+                                need_past=j, threads=threads)
+    est, se = _mean_se(ests)
+    return _report(proc, est, se, m, j, bias, orders=n_orders, resamples=resamples)
 
 
 @dataclass(frozen=True, init=False)
@@ -273,7 +259,7 @@ class Frame:
 
 
 def make_frame(proc, w: OrderWindow, seed) -> Frame:
-    _check_group(proc, w)
+    _check_inputs(proc, w.group)
     idx = process.sample_many(proc, w.array, 1, seed)[0]
     return Frame._trusted(w, tuple(process.symbols_of(proc, idx)))
 
@@ -312,36 +298,24 @@ class SuccessorConsistencyReport:
 
 def successor_consistency(proc, spec: tiling.TilingSystemSpec, j: int,
                           n_orders: int, m: int, level: int, seed,
-                          bias: str = "plugin") -> SuccessorConsistencyReport:
+                          bias: str = "plugin",
+                          threads: int = 1) -> SuccessorConsistencyReport:
     """Check that two routes to the depth-j conditioners agree exactly.
 
     Route one reads order positions -j..-1 from the expanded window; route
     two walks j backward successor steps on a framed configuration and
     collects the anchors in original coordinates.  The cell sequences must
     be identical and the conditional-entropy estimates (same sample seed)
-    bit-identical; any mismatch raises ConsistencyError.
+    bit-identical; any mismatch raises ConsistencyError, for the first
+    failing order whatever the thread count.
     """
-    _check_bias(bias)
+    _check_inputs(proc, spec.group, bias, n_orders)
     if j < 1:
         raise InputError(f"depth must be >= 1, got {j}")
-    if n_orders < 1:
-        raise InputError(f"order count must be >= 1, got {n_orders}")
-    if proc.group != spec.group:
-        raise DimensionMismatchError("process and tiling system live on different groups")
-    children = spawn_seeds(seed, n_orders)
-    ests_a = []
-    ests_b = []
-    resamples = 0
-    for i in range(n_orders):
-        addr_seed, cfg_seed, samp_seed = spawn_seeds(children[i], 3)
-        addr, retries = tiling.sample_straight_address(
-            spec, level, addr_seed, need_past=j
-        )
-        resamples += retries
-        w = tiling.expand(addr)
-        cells_direct = w.rows(-j, -1)
 
-        frame = make_frame(proc, w, cfg_seed)
+    def statistic(i, w, s):
+        cells_direct = w.rows(-j, -1)
+        frame = make_frame(proc, w, child_seed(s, 1))
         offset = np.zeros(spec.group.d, dtype=np.int64)
         cells_stepped = np.empty_like(cells_direct)
         for p in range(j - 1, -1, -1):
@@ -357,18 +331,19 @@ def successor_consistency(proc, spec: tiling.TilingSystemSpec, j: int,
                 f"direct {tuple(cells_direct[p].tolist())} vs "
                 f"stepped {tuple(cells_stepped[p].tolist())}"
             )
+        samp_seed = child_seed(s, 2)
         est_a, _ = _cond_estimate(proc, cells_direct, m, samp_seed, bias)
         est_b, _ = _cond_estimate(proc, cells_stepped, m, samp_seed, bias)
         if est_a != est_b:
             raise ConsistencyError(
                 f"order {i}: estimates differ bitwise: {est_a!r} vs {est_b!r}"
             )
-        ests_a.append(est_a)
-        ests_b.append(est_b)
-    mean_a = float(np.mean(ests_a))
-    mean_b = float(np.mean(ests_b))
-    se = float(np.std(ests_a, ddof=1) / math.sqrt(n_orders)) if n_orders > 1 else 0.0
-    k = process.alphabet_size(proc)
+        return est_a, est_b
+
+    ests, resamples = per_order(spec, level, spawn_seeds(seed, n_orders), statistic,
+                                need_past=j, threads=threads)
+    mean_a, se = _mean_se([a for a, _ in ests])
+    mean_b, _ = _mean_se([b for _, b in ests])
     return SuccessorConsistencyReport(
         orders=n_orders,
         truncation=j,
@@ -379,7 +354,7 @@ def successor_consistency(proc, spec: tiling.TilingSystemSpec, j: int,
         estimate_stepped=mean_b,
         stderr=se,
         bias_mode=bias,
-        undersampled=_undersampled(m, k, j + 1),
+        undersampled=_undersampled(proc, m, j),
         resamples=resamples,
     )
 
@@ -446,47 +421,24 @@ def remote_past_mi(proc, spec: tiling.TilingSystemSpec, gap: int, j: int,
     with trivial remote past this decays toward zero as the gap grows; the
     overlay's phase keeps it at the marker's phase entropy.
     """
-    _check_bias(bias)
+    _check_inputs(proc, spec.group, bias, n_orders)
     if gap < 1 or j < 1:
         raise InputError("gap and depth must be >= 1")
-    if n_orders < 1:
-        raise InputError(f"order count must be >= 1, got {n_orders}")
-    if proc.group != spec.group:
-        raise DimensionMismatchError("process and tiling system live on different groups")
-    children = spawn_seeds(seed, n_orders)
     k = process.alphabet_size(proc)
 
-    def make_task(i):
-        def task():
-            addr_seed, samp_seed = spawn_seeds(children[i], 2)
-            addr, retries = tiling.sample_straight_address(
-                spec, level, addr_seed, need_past=gap + j
-            )
-            w = tiling.expand(addr)
-            cells = _with_anchor(proc.group, w.rows(-gap - j, -gap - 1))
-            idx = process.sample_many(proc, cells, m, samp_seed)
-            joint_terms, kj = _plugin_terms(_encode_columns(idx, k))
-            block_terms, kb = _plugin_terms(_encode_columns(idx[:, :-1], k))
-            target_terms, kt = _plugin_terms(_encode_columns(idx[:, -1:], k))
-            mi, _ = _mean_se(target_terms + block_terms - joint_terms)
-            if bias == "miller_madow":
-                mi += ((kt - 1) + (kb - 1) - (kj - 1)) / (2.0 * m * _LN2)
-            return mi, retries
+    def statistic(i, w, s):
+        cells = _with_anchor(proc.group, w.rows(-gap - j, -gap - 1))
+        idx = process.sample_many(proc, cells, m, child_seed(s, 1))
+        joint_terms, kj = _block_terms(idx, k)
+        block_terms, kb = _block_terms(idx[:, :-1], k)
+        target_terms, kt = _block_terms(idx[:, -1:], k)
+        mi, _ = _mean_se(target_terms + block_terms - joint_terms)
+        if bias == "miller_madow":
+            mi += (kt + kb - kj - 1) / (2.0 * m * _LN2)
+        return mi
 
-        return task
-
-    results = _run_indexed([make_task(i) for i in range(n_orders)], threads)
-    ests = np.array([r[0] for r in results])
-    resamples = int(sum(r[1] for r in results))
-    est, se = _mean_se(ests) if n_orders > 1 else (float(ests[0]), 0.0)
-    return EntropyReport(
-        estimate=est,
-        stderr=se,
-        samples=m,
-        orders=n_orders,
-        truncation=j,
-        bias_mode=bias,
-        undersampled=_undersampled(m, k, j + 1),
-        gap=gap,
-        resamples=resamples,
-    )
+    ests, resamples = per_order(spec, level, spawn_seeds(seed, n_orders), statistic,
+                                need_past=gap + j, threads=threads)
+    est, se = _mean_se(ests)
+    return _report(proc, est, se, m, j, bias, orders=n_orders, gap=gap,
+                   resamples=resamples)

@@ -291,6 +291,8 @@ AUDIT = ["folner", "audit", "--name", "dyadic_standard", "--level", "6",
 @pytest.mark.parametrize("case", [
     "convert_json_array", "convert_window_without_group",
     "audit_non_int_candidate", "audit_zero_samples", "threads_env_not_int",
+    "threads_flag_zero", "threads_flag_negative", "threads_env_zero",
+    "threads_env_negative",
 ])
 def test_malformed_input_exits_2_without_traceback(tmp_path, case):
     src_dir = str(Path(multiorder.__file__).resolve().parents[1])
@@ -311,7 +313,12 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, case):
     else:
         doc.write_text(json.dumps(base_config(tmp_path)))
         args = ["entropy", "run", "--config", str(doc)]
-        env["MULTIORDER_THREADS"] = "abc"
+        if case.startswith("threads_flag"):
+            args += ["--threads", "0" if case.endswith("zero") else "-3"]
+        else:
+            env["MULTIORDER_THREADS"] = {"threads_env_not_int": "abc",
+                                         "threads_env_zero": "0",
+                                         "threads_env_negative": "-1"}[case]
     proc = subprocess.run([sys.executable, "-m", "multiorder", *args],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 2, proc.stderr

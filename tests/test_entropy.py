@@ -242,18 +242,36 @@ def test_successor_step_equals_act_by_cell():
         assert stepped.config == expected
 
 
-def test_successor_report_matches_golden(tmp_path, data_dir, monkeypatch):
-    golden = data_dir / "successor_golden"
+def assert_run_matches_golden(golden, tmp_path, monkeypatch):
+    """Run golden/config.json at one and two threads; every output file must
+    equal the golden copy byte for byte."""
     (tmp_path / "config.json").write_bytes((golden / "config.json").read_bytes())
     monkeypatch.chdir(tmp_path)
+    expected = sorted(p.name for p in golden.iterdir() if p.name != "config.json")
     for threads in ("1", "2"):
         assert cli.main(["entropy", "run", "--config", "config.json",
                          "--threads", threads]) == 0
         produced = sorted(p.name for p in (tmp_path / "out").iterdir())
-        assert produced == ["aggregate.csv", "bernoulli_hilbert_steps.json",
-                            "flip_alternating_steps.json"]
+        assert produced == expected
         for name in produced:
             assert (tmp_path / "out" / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+def test_successor_report_matches_golden(tmp_path, data_dir, monkeypatch):
+    assert_run_matches_golden(data_dir / "successor_golden", tmp_path, monkeypatch)
+
+
+def test_every_estimator_kind_matches_golden(tmp_path, data_dir, monkeypatch):
+    # mc_integral at 5 orders and at 1, remote_past_mi on the overlay,
+    # successor_consistency on Hilbert, block_entropy and cond_entropy.
+    golden = data_dir / "estimators_golden"
+    assert_run_matches_golden(golden, tmp_path, monkeypatch)
+    kinds = [line.split(",")[1] for line in
+             (golden / "aggregate.csv").read_text().splitlines()[1:]]
+    assert sorted(set(kinds)) == ["block_entropy", "cond_entropy", "mc_integral",
+                                  "remote_past_mi", "successor_consistency"]
+    assert kinds.count("mc_integral") == 2
+
 
 def test_successor_consistency_routes_agree():
     rep = entropy.successor_consistency(
@@ -270,7 +288,17 @@ def test_successor_consistency_routes_agree():
     assert again == rep
 
 
-def test_successor_consistency_detects_tampering(monkeypatch):
+def test_successor_consistency_thread_invariant():
+    kwargs = dict(j=4, n_orders=5, m=1000, level=8, seed=56, bias="miller_madow")
+    spec = tiling.builtin("dyadic_alternating")
+    one = entropy.successor_consistency(flip_chain(), spec, threads=1, **kwargs)
+    two = entropy.successor_consistency(flip_chain(), spec, threads=2, **kwargs)
+    assert one == two
+    assert one == entropy.successor_consistency(flip_chain(), spec, **kwargs)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_successor_consistency_detects_tampering(monkeypatch, threads):
     # The direct route reads the conditioners as window rows -3..-1.
     real = orders.OrderWindow.rows
 
@@ -281,11 +309,14 @@ def test_successor_consistency_detects_tampering(monkeypatch):
         return out
 
     monkeypatch.setattr(orders.OrderWindow, "rows", garbled)
-    with pytest.raises(ConsistencyError):
+    # Both orders fail; the first in order index is reported at any thread count.
+    with pytest.raises(ConsistencyError) as err:
         entropy.successor_consistency(
             flip_chain(), tiling.builtin("dyadic_alternating"), j=3, n_orders=2,
-            m=100, level=6, seed=7,
+            m=100, level=6, seed=7, threads=threads,
         )
+    assert str(err.value) == ("order 0: conditioner cells differ at position -3: "
+                              "direct (-2,) vs stepped (-13,)")
 
 
 def test_shearer_exact_partition_is_tight():
