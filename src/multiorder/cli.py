@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -205,18 +206,18 @@ def _run_experiment(exp: dict, master_seed: int, index: int, threads: int):
     # One order, seeded by the experiment seed itself.
     if kind == "block_entropy":
         n_span, m = need("n", "samples")
-        (report,), _ = entropy.per_order(
+        (report,), retries = entropy.per_order(
             spec, level, [seed], lambda i, w, s: entropy.block_entropy_along_order(
                 proc, w, n_span, m, child_seed(s, 1), bias=bias),
             need_future=n_span)
-        return report
+        return dataclasses.replace(report, resamples=retries)
     if kind == "cond_entropy":
         j, m = need("j", "samples")
-        (report,), _ = entropy.per_order(
+        (report,), retries = entropy.per_order(
             spec, level, [seed], lambda i, w, s: entropy.cond_entropy_along_order(
                 proc, w, j, m, child_seed(s, 1), bias=bias),
             need_past=j)
-        return report
+        return dataclasses.replace(report, resamples=retries)
     raise InputError(f"unknown experiment kind {kind!r}")
 
 

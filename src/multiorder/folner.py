@@ -138,7 +138,10 @@ def uniform_audit(spec: tiling.TilingSystemSpec, K, epsilon, candidates,
     whose worst measured ratio is below epsilon; thresholds are measured, not
     proven least possible.
     """
-    eps = Fraction(epsilon).limit_denominator(10**9) if not isinstance(epsilon, Fraction) else epsilon
+    try:
+        eps = epsilon if isinstance(epsilon, Fraction) else Fraction(epsilon).limit_denominator(10**9)
+    except (ValueError, OverflowError):
+        raise InputError(f"epsilon must be a finite number, got {epsilon!r}") from None
     cands = sorted(set(int(n) for n in candidates))
     if not cands or cands[0] < 1:
         raise InputError("candidates must be positive cell counts")

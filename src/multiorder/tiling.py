@@ -8,17 +8,26 @@ recursively concatenating child expansions in rule order lays the shape's
 cells on a discrete curve; the built-in systems are two dyadic interval
 systems on the line and the Hilbert-curve square system on the plane.
 
+Each spec caches one child table per (level, label): child labels, an
+(arity, d) int64 offset array and each child's start rank, the prefix sums
+of the child curve lengths.  Curves are built from it, so drawing and
+expanding an address build no Shape.
+
 An address fixes a level-L top shape together with one digit per level
 selecting the central subtile, which pins where the identity sits inside
-the expanded top tile.  Expansion then yields an anchored OrderWindow.
-Addresses whose top digits keep selecting the first (or last) child forever
-correspond to degenerate orders; straight_check reports the truncated
-statistics and samplers can reject on them.
+the expanded top tile.  An Address walks its digits down the child table
+once, on construction; anchor_rank, straight_check, central_tile and expand
+read that walk.  Expansion yields an anchored OrderWindow.  Addresses whose
+top digits keep selecting the first (or last) child forever correspond to
+degenerate orders; straight_check reports the truncated statistics and
+samplers can reject on them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +35,7 @@ from . import groups
 from .errors import InputError, MultiorderError
 from .groups import GroupSpec
 from .orders import OrderWindow
+from .process import stationary_distribution
 from .util import child_seed, make_rng
 
 SINGLETON_LABEL = "o"
@@ -72,7 +82,9 @@ class TilingSystemSpec:
         self.max_level = max_level
         self._shapes_cache: dict = {}
         self._rules_cache: dict = {}
+        self._children_cache: dict = {}
         self._curve_cache: dict = {}
+        self._top_law_cache: dict = {}
 
     def _check_level(self, k: int, floor: int) -> None:
         if k < floor:
@@ -106,6 +118,20 @@ class TilingSystemSpec:
         except KeyError:
             raise InputError(f"no shape {label!r} at level {k}") from None
 
+    def children(self, k: int, label: str) -> tuple:
+        """The rule of a level-k shape as (child labels, (arity, d) int64
+        offsets, ranks); ranks[i] is the curve rank at which child i starts
+        and ranks[-1] is the shape's size.  Level-0 tiles are singletons."""
+        key = (k, label)
+        if key not in self._children_cache:
+            rule = self.rule(k, label)
+            labels = tuple(child_label for child_label, _ in rule.children)
+            offsets = groups.as_cell_array(self.group, [off for _, off in rule.children])
+            offsets.setflags(write=False)
+            sizes = (len(self.curve(k - 1, c)) if k > 1 else 1 for c in labels)
+            self._children_cache[key] = (labels, offsets, (0, *accumulate(sizes)))
+        return self._children_cache[key]
+
     def curve(self, k: int, label: str) -> np.ndarray:
         """The expansion order of a level-k shape as an (size, d) array.
 
@@ -119,12 +145,12 @@ class TilingSystemSpec:
                     raise InputError(f"no shape {label!r} at level 0")
                 arr = np.zeros((1, self.group.d), dtype=np.int64)
             else:
-                rule = self.rule(k, label)
-                parts = []
-                for child_label, offset in rule.children:
-                    off = np.asarray(groups.element(self.group, offset), dtype=np.int64)
-                    parts.append(self.curve(k - 1, child_label) + off)
-                arr = np.concatenate(parts, axis=0)
+                labels, offsets, _ = self.children(k, label)
+                if k == 1:  # level-0 tiles are singletons at the origin
+                    arr = offsets.copy()
+                else:
+                    arr = np.concatenate([self.curve(k - 1, c) + off
+                                          for c, off in zip(labels, offsets)], axis=0)
             arr.setflags(write=False)
             self._curve_cache[key] = arr
         return self._curve_cache[key]
@@ -195,6 +221,15 @@ class TilingSystemSpec:
                                obj["canonical_label"], max_level)
 
 
+class _Walk(NamedTuple):
+    """An address's digits walked down the child table, top first."""
+
+    labels: tuple  # central-tile label at levels L, L-1, ..., 0
+    offsets: np.ndarray  # (L + 1, d): row i sums the first i chosen offsets
+    arities: tuple  # rule arity at levels L, ..., 1
+    rank: int  # curve rank of the identity in the top tile
+
+
 @dataclass(frozen=True)
 class Address:
     """A level-L top shape and digits d_L..d_1 selecting central subtiles.
@@ -207,6 +242,7 @@ class Address:
     level: int
     top: str
     digits: tuple
+    _walk: _Walk = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.level < 1:
@@ -215,15 +251,22 @@ class Address:
             raise InputError(
                 f"address needs {self.level} digits, got {len(self.digits)}"
             )
-        label = self.top
+        labels, arities, rank = [self.top], [], 0
+        steps = np.zeros((self.level + 1, self.spec.group.d), dtype=np.int64)
         for pos, k in enumerate(range(self.level, 0, -1)):
-            rule = self.spec.rule(k, label)
+            child_labels, offsets, ranks = self.spec.children(k, labels[-1])
             d = self.digits[pos]
-            if not 1 <= d <= rule.arity:
+            arity = len(child_labels)
+            if not 1 <= d <= arity:
                 raise InputError(
-                    f"digit d_{k} = {d} out of range 1..{rule.arity} for shape {label!r}"
+                    f"digit d_{k} = {d} out of range 1..{arity} for shape {labels[-1]!r}"
                 )
-            label = rule.children[d - 1][0]
+            labels.append(child_labels[d - 1])
+            arities.append(arity)
+            steps[pos + 1] = offsets[d - 1]
+            rank += ranks[d - 1]
+        object.__setattr__(self, "_walk", _Walk(tuple(labels), steps.cumsum(axis=0),
+                                                tuple(arities), rank))
 
 
 @dataclass(frozen=True)
@@ -263,6 +306,8 @@ def validate_spec(spec: TilingSystemSpec, max_level: int) -> ValidationReport:
     """Check exact-partition, identity-containing, and rule-coverage
     conditions for levels 1..max_level.  Violations are reported as data,
     not raised."""
+    if max_level < 0:
+        raise InputError(f"level must be >= 0, got {max_level}")
     violations = []
     e = groups.identity(spec.group)
     for k in range(0, max_level + 1):
@@ -314,31 +359,27 @@ def top_shape_distribution(spec: TilingSystemSpec, level: int = 2):
 
     Built from the child-label count matrix of the rules at the given level
     (the built-ins use the same label set and counts at every level >= 1),
-    with columns normalized by rule arity.  Returns (labels, probs).
+    with rows normalized by rule arity.  Returns (labels, probs), cached on
+    the spec per level.
     """
-    labels = spec.labels(level)
-    rules = spec.rules(level)
-    child_labels = spec.labels(level - 1)
-    if sorted(child_labels) != sorted(labels):
-        # Non-stationary label sets (e.g. level 1 over the singleton): the
-        # chain has nowhere to mix, so fall back to uniform over top labels.
+    if level not in spec._top_law_cache:
+        rules = spec.rules(level)
+        labels = tuple(sorted(rules))
         n = len(labels)
-        return labels, np.full(n, 1.0 / n)
-    n = len(labels)
-    pos = {lab: i for i, lab in enumerate(labels)}
-    A = np.zeros((n, n))
-    for lab in labels:
-        rule = rules[lab]
-        for child_label, _ in rule.children:
-            A[pos[child_label], pos[lab]] += 1.0 / rule.arity
-    M = A - np.eye(n)
-    M[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    probs = np.linalg.solve(M, b)
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    return labels, probs
+        if {c for r in rules.values() for c, _ in r.children} != set(labels):
+            # Non-stationary label sets (e.g. level 1 over the singleton): the
+            # chain has nowhere to mix, so fall back to uniform over top labels.
+            probs = np.full(n, 1.0 / n)
+        else:
+            P = np.zeros((n, n))
+            for i, lab in enumerate(labels):
+                rule = rules[lab]
+                for child_label, _ in rule.children:
+                    P[i, labels.index(child_label)] += 1.0 / rule.arity
+            probs = stationary_distribution(P)
+        probs.setflags(write=False)
+        spec._top_law_cache[level] = (labels, probs)
+    return spec._top_law_cache[level]
 
 
 def sample_address(spec: TilingSystemSpec, level: int, seed) -> Address:
@@ -352,56 +393,24 @@ def sample_address(spec: TilingSystemSpec, level: int, seed) -> Address:
     digits = []
     label = top
     for k in range(level, 0, -1):
-        rule = spec.rule(k, label)
-        d = int(rng.integers(1, rule.arity + 1))
+        child_labels = spec.children(k, label)[0]
+        d = int(rng.integers(1, len(child_labels) + 1))
         digits.append(d)
-        label = rule.children[d - 1][0]
+        label = child_labels[d - 1]
     return Address(spec, level, top, tuple(digits))
 
 
 def straight_check(addr: Address) -> StraightnessReport:
-    arities = []
-    label = addr.top
-    for pos, k in enumerate(range(addr.level, 0, -1)):
-        rule = addr.spec.rule(k, label)
-        arities.append(rule.arity)
-        label = rule.children[addr.digits[pos] - 1][0]
-    first_run = 0
-    for d in addr.digits:
-        if d != 1:
-            break
-        first_run += 1
-    last_run = 0
-    for d, a in zip(addr.digits, arities):
-        if d != a:
-            break
-        last_run += 1
     L = addr.level
+    first_run = next((i for i, d in enumerate(addr.digits) if d != 1), L)
+    last_run = next((i for i, (d, a) in enumerate(zip(addr.digits, addr._walk.arities))
+                     if d != a), L)
     return StraightnessReport(first_run, last_run, first_run < L and last_run < L)
 
 
 def anchor_rank(addr: Address) -> int:
     """0-based position of the identity in the expansion of the top tile."""
-    rank = 0
-    label = addr.top
-    for pos, k in enumerate(range(addr.level, 0, -1)):
-        rule = addr.spec.rule(k, label)
-        d = addr.digits[pos]
-        for child_label, _ in rule.children[: d - 1]:
-            rank += addr.spec.shape_size(k - 1, child_label)
-        label = rule.children[d - 1][0]
-    return rank
-
-
-def _anchor_cell(addr: Address) -> np.ndarray:
-    u = np.zeros(addr.spec.group.d, dtype=np.int64)
-    label = addr.top
-    for pos, k in enumerate(range(addr.level, 0, -1)):
-        rule = addr.spec.rule(k, label)
-        child_label, offset = rule.children[addr.digits[pos] - 1]
-        u += np.asarray(groups.element(addr.spec.group, offset), dtype=np.int64)
-        label = child_label
-    return u
+    return addr._walk.rank
 
 
 def expand(addr: Address) -> OrderWindow:
@@ -411,13 +420,10 @@ def expand(addr: Address) -> OrderWindow:
     of the identity inside the top tile; cells are the tile's cells in
     curve order, translated so the addressed cell is the identity.
     """
-    spec = addr.spec
-    base = spec.curve(addr.level, addr.top)
-    u = _anchor_cell(addr)
-    rank = anchor_rank(addr)
-    cells = base - u
-    return OrderWindow(spec.group, -rank, base.shape[0] - 1 - rank, cells,
-                       _trusted=True)
+    base = addr.spec.curve(addr.level, addr.top)
+    rank = addr._walk.rank
+    return OrderWindow(addr.spec.group, -rank, base.shape[0] - 1 - rank,
+                       base - addr._walk.offsets[-1], _trusted=True)
 
 
 def central_tile(addr: Address, k: int):
@@ -428,16 +434,9 @@ def central_tile(addr: Address, k: int):
     """
     if not 0 <= k <= addr.level:
         raise InputError(f"central tile level {k} outside 0..{addr.level}")
-    u = _anchor_cell(addr)
-    t = np.zeros(addr.spec.group.d, dtype=np.int64)
-    label = addr.top
-    for pos, lev in enumerate(range(addr.level, k, -1)):
-        rule = addr.spec.rule(lev, label)
-        child_label, offset = rule.children[addr.digits[pos] - 1]
-        t += np.asarray(groups.element(addr.spec.group, offset), dtype=np.int64)
-        label = child_label
-    translation = tuple(int(x) for x in (t - u))
-    return label, translation
+    pos = addr.level - k
+    offsets = addr._walk.offsets
+    return addr._walk.labels[pos], tuple(int(x) for x in offsets[pos] - offsets[-1])
 
 
 def sample_straight_address(spec: TilingSystemSpec, level: int, seed,
@@ -445,24 +444,13 @@ def sample_straight_address(spec: TilingSystemSpec, level: int, seed,
                             max_tries: int = 1000):
     """Sample addresses until one is straight up to its level and its
     expansion covers [-need_past, need_future].  Returns (address, retries)."""
-    size_cache: dict = {}
-
-    def top_size(label):
-        if label not in size_cache:
-            size_cache[label] = spec.shape_size(level, label)
-        return size_cache[label]
-
     for attempt in range(max_tries):
-        sub = child_seed(seed, attempt)
-        addr = sample_address(spec, level, sub)
-        if not straight_check(addr).straight_up_to_level:
-            continue
+        addr = sample_address(spec, level, child_seed(seed, attempt))
         rank = anchor_rank(addr)
-        if rank < need_past:
-            continue
-        if top_size(addr.top) - 1 - rank < need_future:
-            continue
-        return addr, attempt
+        size = spec.children(level, addr.top)[2][-1]
+        if (straight_check(addr).straight_up_to_level and rank >= need_past
+                and size - 1 - rank >= need_future):
+            return addr, attempt
     raise MultiorderError(
         f"no straight covering address found in {max_tries} tries "
         f"(level={level}, need_past={need_past}, need_future={need_future})"
@@ -487,10 +475,8 @@ def speedup(spec: TilingSystemSpec) -> TilingSystemSpec:
         for lab, rule in spec.rules(2 * k).items():
             composed = []
             for mid_label, off1 in rule.children:
-                off1 = groups.element(group, off1)
                 for child_label, off0 in spec.rules(2 * k - 1)[mid_label].children:
-                    off = groups.compose(group, groups.element(group, off0), off1)
-                    composed.append((child_label, off))
+                    composed.append((child_label, groups.compose(group, off0, off1)))
             out[lab] = SubstitutionRule(lab, tuple(composed))
         return out
 

@@ -292,7 +292,8 @@ AUDIT = ["folner", "audit", "--name", "dyadic_standard", "--level", "6",
     "convert_json_array", "convert_window_without_group",
     "audit_non_int_candidate", "audit_zero_samples", "threads_env_not_int",
     "threads_flag_zero", "threads_flag_negative", "threads_env_zero",
-    "threads_env_negative",
+    "threads_env_negative", "audit_epsilon_nan", "audit_epsilon_inf",
+    "validate_negative_level",
 ])
 def test_malformed_input_exits_2_without_traceback(tmp_path, case):
     src_dir = str(Path(multiorder.__file__).resolve().parents[1])
@@ -310,6 +311,10 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, case):
         args = AUDIT + ["--candidates", "4,x"]
     elif case == "audit_zero_samples":
         args = AUDIT + ["--candidates", "4", "--samples", "0"]
+    elif case.startswith("audit_epsilon"):
+        args = AUDIT + ["--candidates", "4", "--epsilon", case.rsplit("_", 1)[1]]
+    elif case == "validate_negative_level":
+        args = ["tiling", "validate", "--name", "hilbert", "--level", "-1"]
     else:
         doc.write_text(json.dumps(base_config(tmp_path)))
         args = ["entropy", "run", "--config", str(doc)]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from multiorder import tiling
@@ -81,6 +83,27 @@ def test_anchor_rank_of_origin_in_square_curve(builtins):
         curve = spec.curve(k, "U")
         where = int(np.nonzero((curve == 0).all(axis=1))[0][0])
         assert tiling.anchor_rank(addr) == where == (4**k - 4) // 3 + 1
+
+
+def test_anchor_rank_counts_unequal_children():
+    # Level-2 shape A = A + B with |A| = 2 and |B| = 1 at level 1, so the
+    # child start ranks are 0 and 2, not multiples of one child size.
+    o = ("o", (0,))
+    shapes = {
+        0: {"o": Shape("o", frozenset({(0,)}))},
+        1: {"A": Shape("A", frozenset({(0,), (1,)})), "B": Shape("B", frozenset({(0,)}))},
+        2: {"A": Shape("A", frozenset({(0,), (1,), (2,)}))},
+    }
+    rules = {
+        1: {"A": SubstitutionRule("A", (o, ("o", (1,)))), "B": SubstitutionRule("B", (o,))},
+        2: {"A": SubstitutionRule("A", (("A", (0,)), ("B", (2,))))},
+    }
+    spec = TilingSystemSpec.from_tables(LINE, "unequal", shapes, rules, "A", 2)
+    assert tiling.validate_spec(spec, 2).ok
+    for digits, rank in [((1, 1), 0), ((1, 2), 1), ((2, 1), 2)]:
+        addr = Address(spec, 2, "A", digits)
+        assert tiling.anchor_rank(addr) == rank
+        assert tiling.expand(addr).cells() == [(c - rank,) for c in range(3)]
 
 
 def test_central_tile_translation_and_nesting(builtins):
@@ -224,6 +247,11 @@ def test_sample_straight_address_honors_margins(builtins):
             spec, level, seed=13, need_past=20, need_future=20
         )
         assert again == addr
+    # At level 3 only the straight address of rank 1 leaves 6 cells after 0.
+    addr, retries = tiling.sample_straight_address(
+        builtins["dyadic_standard"], 3, seed=4, need_future=6
+    )
+    assert addr.digits == (1, 1, 2) and retries > 0
     with pytest.raises(MultiorderError):
         tiling.sample_straight_address(
             builtins["dyadic_standard"], 3, seed=1, need_past=100, max_tries=50
@@ -275,3 +303,81 @@ def test_builtin_names():
         assert tiling.builtin(name).name == name
     with pytest.raises(InputError):
         tiling.builtin("penrose")
+
+
+_SPECS = {name: tiling.builtin(name) for name in
+          ("dyadic_standard", "dyadic_alternating", "hilbert")}
+_MAX_LEVEL = {"dyadic_standard": 12, "dyadic_alternating": 12, "hilbert": 6}
+
+
+@st.composite
+def walked_addresses(draw):
+    """A random valid address with its walk done by hand on tuples: the
+    label and summed offset of the central tile at every level."""
+    name = draw(st.sampled_from(sorted(_SPECS)))
+    spec = _SPECS[name]
+    level = draw(st.integers(1, _MAX_LEVEL[name]))
+    label = draw(st.sampled_from(sorted(spec.rules(level))))
+    top = label
+    cum = (0,) * spec.group.d
+    digits, arities, path = [], [], [(label, cum)]
+    for k in range(level, 0, -1):
+        children = spec.rule(k, label).children
+        d = draw(st.integers(1, len(children)))
+        label, offset = children[d - 1]
+        cum = tuple(a + b for a, b in zip(cum, offset))
+        digits.append(d)
+        arities.append(len(children))
+        path.append((label, cum))
+    return Address(spec, level, top, tuple(digits)), arities, path
+
+
+@settings(max_examples=80, deadline=None)
+@given(walked=walked_addresses())
+def test_address_walk_matches_tuple_oracle(walked):
+    addr, arities, path = walked
+    spec, level = addr.spec, addr.level
+    anchor = np.asarray(path[-1][1], dtype=np.int64)
+    curve = spec.curve(level, addr.top)
+    row = int(np.nonzero((curve == anchor).all(axis=1))[0][0])
+    assert tiling.anchor_rank(addr) == row
+
+    w = tiling.expand(addr)
+    assert (w.lo, w.hi) == (-row, len(curve) - 1 - row)
+    assert np.array_equal(w.array, curve - anchor)
+
+    zero = (0,) * spec.group.d
+    outer = None
+    for k in range(level, -1, -1):
+        label, t = tiling.central_tile(addr, k)
+        oracle_label, oracle_cum = path[level - k]
+        assert label == oracle_label
+        assert t == tuple(int(x) for x in np.asarray(oracle_cum) - anchor)
+        cells = {tuple(c) for c in (spec.curve(k, label) + np.asarray(t)).tolist()}
+        assert zero in cells
+        if outer is not None:
+            assert cells <= outer
+        outer = cells
+
+    rep = tiling.straight_check(addr)
+    first = next((i for i, d in enumerate(addr.digits) if d != 1), level)
+    last = next((i for i, (d, a) in enumerate(zip(addr.digits, arities)) if d != a),
+                level)
+    assert (rep.all_first_suffix_len, rep.all_last_suffix_len) == (first, last)
+    assert rep.straight_up_to_level == (first < level and last < level)
+
+
+def test_sampling_path_never_builds_shapes():
+    spec = tiling.builtin("hilbert")
+
+    def no_shapes(k):
+        raise AssertionError(f"shapes requested at level {k}")
+
+    spec._shapes_fn = no_shapes
+    addr, _ = tiling.sample_straight_address(spec, 8, seed=21, need_past=3,
+                                             need_future=3)
+    other = tiling.sample_address(spec, 8, seed=22)
+    for a in (addr, other):
+        assert len(tiling.expand(a)) == 4**8
+        for k in range(0, 9):
+            tiling.central_tile(a, k)
