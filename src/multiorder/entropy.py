@@ -100,19 +100,34 @@ def plugin_entropy(counts, bias: str = "plugin") -> float:
     return h
 
 
-def _block_terms(samples: np.ndarray, k: int):
-    """Per-sample -log2 of the empirical probability of each row's block
-    (rows encoded base k), plus the block's support size.  A block of no
-    cells has probability one: zero terms, support one."""
-    m, n = samples.shape
-    if n == 0:
-        return np.zeros(m), 1
+def _block_counts(samples: np.ndarray, k: int):
+    """Count each row's block once: rows encoded base k (last cell least
+    significant), returning the sorted support codes, each row's index into
+    them and their counts."""
+    n = samples.shape[1]
     if k**n >= 2**62:
         raise BudgetError(f"cannot encode {n}-cell blocks over {k} symbols exactly")
     weights = np.array([k**p for p in range(n - 1, -1, -1)], dtype=np.int64)
-    codes = samples.astype(np.int64) @ weights
-    _, inverse, counts = np.unique(codes, return_inverse=True, return_counts=True)
-    return -np.log2(counts[inverse] / m), int(counts.size)
+    return np.unique(np.asarray(samples, dtype=np.int64) @ weights,
+                     return_inverse=True, return_counts=True)
+
+
+def _split_counts(codes: np.ndarray, counts: np.ndarray, k: int):
+    """Per joint support code, the counts of its prefix block (all cells
+    but the last, code // k, sorted like the codes) and of its last cell
+    (code % k), with the support sizes of both."""
+    prefix = codes // k
+    starts = np.flatnonzero(np.r_[True, prefix[1:] != prefix[:-1]])
+    prefix_counts = np.repeat(np.add.reduceat(counts, starts),
+                              np.diff(np.r_[starts, codes.size]))
+    last_totals = np.bincount(codes % k, weights=counts, minlength=k)
+    return (prefix_counts, starts.size,
+            last_totals[codes % k], int(np.count_nonzero(last_totals)))
+
+
+def _info(counts, m: int) -> np.ndarray:
+    """-log2 of the empirical probabilities behind counts out of m."""
+    return -np.log2(counts / m)
 
 
 def _mean_se(terms):
@@ -144,10 +159,10 @@ def block_entropy_along_order(proc, w: OrderWindow, n: int, m: int, seed,
     if n < 0:
         raise InputError(f"block span must be >= 0, got {n}")
     idx = process.sample_many(proc, w.rows(0, n), m, seed)
-    terms, support = _block_terms(idx, process.alphabet_size(proc))
-    est, se = _mean_se(terms)
+    _, inverse, counts = _block_counts(idx, process.alphabet_size(proc))
+    est, se = _mean_se(_info(counts, m)[inverse])
     if bias == "miller_madow":
-        est += (support - 1) / (2.0 * m * _LN2)
+        est += (counts.size - 1) / (2.0 * m * _LN2)
     return _report(proc, est / (n + 1), se / (n + 1), m, n, bias)
 
 
@@ -164,11 +179,13 @@ def _cond_estimate(proc, cond_cells, m: int, seed, bias: str):
         raise InputError("conditioner cells must be distinct and exclude the anchor")
     idx = process.sample_many(proc, cells, m, seed)
     k = process.alphabet_size(proc)
-    joint_terms, kj = _block_terms(idx, k)
-    cond_terms, kc = _block_terms(idx[:, :-1], k)
-    est, se = _mean_se(joint_terms - cond_terms)
+    codes, inverse, counts = _block_counts(idx, k)
+    cond_counts, kc = _split_counts(codes, counts, k)[:2]
+    # a block of no cells has probability one: zero terms
+    cond = _info(cond_counts, m) if len(cells) > 1 else 0.0
+    est, se = _mean_se((_info(counts, m) - cond)[inverse])
     if bias == "miller_madow":
-        est += (kj - kc) / (2.0 * m * _LN2)
+        est += (counts.size - kc) / (2.0 * m * _LN2)
     return est, se
 
 
@@ -429,12 +446,11 @@ def remote_past_mi(proc, spec: tiling.TilingSystemSpec, gap: int, j: int,
     def statistic(i, w, s):
         cells = _with_anchor(proc.group, w.rows(-gap - j, -gap - 1))
         idx = process.sample_many(proc, cells, m, child_seed(s, 1))
-        joint_terms, kj = _block_terms(idx, k)
-        block_terms, kb = _block_terms(idx[:, :-1], k)
-        target_terms, kt = _block_terms(idx[:, -1:], k)
-        mi, _ = _mean_se(target_terms + block_terms - joint_terms)
+        codes, inverse, counts = _block_counts(idx, k)
+        block, kb, target, kt = _split_counts(codes, counts, k)
+        mi, _ = _mean_se((_info(target, m) + _info(block, m) - _info(counts, m))[inverse])
         if bias == "miller_madow":
-            mi += (kt + kb - kj - 1) / (2.0 * m * _LN2)
+            mi += (kt + kb - counts.size - 1) / (2.0 * m * _LN2)
         return mi
 
     ests, resamples = per_order(spec, level, spawn_seeds(seed, n_orders), statistic,

@@ -7,7 +7,10 @@ uniformly random phase overlaid on a base process (the remote-past test
 process: the phase is recoverable from any far-away marker cell).
 
 Sampling is seeded and exact: marginals on a requested cell set follow the
-true finite-dimensional law, with no burn-in or approximation.
+true finite-dimensional law, with no burn-in or approximation.  The Markov
+chain is drawn in one pass per cell in sorted order, each cell's symbol the
+count of thresholds its uniform exceeds, read from cumulative transition
+powers computed once per distinct gap.
 """
 
 from __future__ import annotations
@@ -217,12 +220,20 @@ def alphabet_size(spec) -> int:
 
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
-    """The stationary law of a row-stochastic matrix (unique for the
-    chains used here; ties resolved by the linear solve)."""
+    """The stationary law of a row-stochastic matrix.
+
+    It is unique exactly when some state is reachable from every state (one
+    closed class); otherwise the solve is singular and InputError is raised.
+    """
     P = np.asarray(P, dtype=float)
     k = P.shape[0]
     if P.shape != (k, k):
         raise InputError("transition matrix must be square")
+    reach = (P > 0) | np.eye(k, dtype=bool)
+    for via in range(k):
+        reach |= reach[:, via:via + 1] & reach[via]
+    if not reach.all(axis=0).any():
+        raise InputError("transition matrix has no unique stationary law")
     A = P.T - np.eye(k)
     A[-1, :] = 1.0
     b = np.zeros(k)
@@ -237,11 +248,6 @@ def _check_cells(spec, cells) -> np.ndarray:
     if count_distinct_rows(arr) != len(arr):
         raise InputError("cells must be distinct")
     return arr
-
-
-def _inverse_cdf(rows_cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # rows_cum: (M, k) per-sample cumulative laws; u: (M,) uniforms.
-    return (u[:, None] > rows_cum).sum(axis=1)
 
 
 def sample_many(spec, cells, m: int, seed) -> np.ndarray:
@@ -262,20 +268,22 @@ def sample_many(spec, cells, m: int, seed) -> np.ndarray:
         if n == 0:
             return np.zeros((m, 0), dtype=np.int64)
         order = np.argsort(cs[:, 0])
-        sorted_x = cs[order, 0]
-        P = spec.matrix
-        out_sorted = np.empty((m, n), dtype=np.int64)
-        cum0 = np.cumsum(np.asarray(spec.initial))
-        u = rng.random(m)
-        out_sorted[:, 0] = np.searchsorted(cum0, u, side="right")
-        for idx in range(1, n):
-            gap = int(sorted_x[idx] - sorted_x[idx - 1])
-            step_cum = np.cumsum(np.linalg.matrix_power(P, gap), axis=1)
-            u = rng.random(m)
-            out_sorted[:, idx] = _inverse_cdf(step_cum[out_sorted[:, idx - 1]], u)
-        out = np.empty((m, n), dtype=np.int64)
-        out[:, order] = out_sorted
-        return out
+        xs = cs[order, 0].tolist()
+        u = rng.random((n, m))
+        out = np.empty((n, m), dtype=np.int64)
+        out[order[0]] = np.searchsorted(np.cumsum(spec.initial), u[0], side="right")
+        thresholds = {}
+        for c in range(1, n):
+            gap = xs[c] - xs[c - 1]
+            if gap not in thresholds:
+                cum = np.cumsum(np.linalg.matrix_power(spec.matrix, gap), axis=1).T
+                # u < 1, so a threshold row that is >= 1 throughout adds nothing
+                thresholds[gap] = cum[cum.min(axis=1) < 1.0]
+            prev, col = out[order[c - 1]], out[order[c]]
+            col[:] = 0
+            for row in thresholds[gap]:
+                col += u[c] > row.take(prev)
+        return out.T
 
     if isinstance(spec, PeriodicOverlay):
         phase_seed, base_seed = spawn_seeds(seed, 2)

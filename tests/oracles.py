@@ -109,3 +109,90 @@ def markov_joint_law(P, pi, cells) -> dict:
 def flip_chain_power_offdiag(q: float, n: int) -> float:
     """n-step flip probability of the symmetric binary chain."""
     return (1 - (1 - 2 * q) ** n) / 2
+
+
+def _child_seed(seed, i: int) -> np.random.SeedSequence:
+    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return np.random.SeedSequence(seq.entropy, spawn_key=tuple(seq.spawn_key) + (int(i),))
+
+
+def markov_sample_many(P, initial, xs, m: int, seed) -> np.ndarray:
+    """The per-column Markov line sampler: one rng.random(m) per cell in
+    sorted order, the first column by the initial law's cdf and every later
+    column by the cdf row of the gap's matrix power at the previous symbol.
+    Returns (m, len(xs)) symbol indices in the given cell order."""
+    rng = np.random.default_rng(seed)
+    xs = np.asarray(xs, dtype=np.int64)
+    P = np.asarray(P, dtype=float)
+    n = len(xs)
+    order = np.argsort(xs)
+    sorted_x = xs[order]
+    out_sorted = np.empty((m, n), dtype=np.int64)
+    u = rng.random(m)
+    out_sorted[:, 0] = np.searchsorted(np.cumsum(np.asarray(initial)), u, side="right")
+    for idx in range(1, n):
+        gap = int(sorted_x[idx] - sorted_x[idx - 1])
+        step_cum = np.cumsum(np.linalg.matrix_power(P, gap), axis=1)
+        u = rng.random(m)
+        out_sorted[:, idx] = (u[:, None] > step_cum[out_sorted[:, idx - 1]]).sum(axis=1)
+    out = np.empty((m, n), dtype=np.int64)
+    out[:, order] = out_sorted
+    return out
+
+
+def overlay_sample_many(base_sample, period, cells, m: int, seed) -> np.ndarray:
+    """A periodic marker with uniform phase over base draws: the phase from
+    child stream 0, the base from child stream 1 via base_sample(cells, m,
+    seed); symbol = base index * |period| + marker index (row-major)."""
+    rng = np.random.default_rng(_child_seed(seed, 0))
+    phases = [rng.integers(0, p, size=m, dtype=np.int64) for p in period]
+    base = base_sample(cells, m, _child_seed(seed, 1))
+    marker = np.zeros((m, len(cells)), dtype=np.int64)
+    for axis, p in enumerate(period):
+        coords = np.array([c[axis] for c in cells], dtype=np.int64)
+        marker = marker * p + (coords[None, :] + phases[axis][:, None]) % p
+    return base * math.prod(period) + marker
+
+
+def block_terms(samples: np.ndarray, k: int):
+    """Per-row -log2 of the empirical probability of the row's block, plus
+    the block's support size; a block of no cells has zero terms."""
+    m, n = samples.shape
+    if n == 0:
+        return np.zeros(m), 1
+    weights = np.array([k**p for p in range(n - 1, -1, -1)], dtype=np.int64)
+    codes = samples.astype(np.int64) @ weights
+    _, inverse, counts = np.unique(codes, return_inverse=True, return_counts=True)
+    return -np.log2(counts[inverse] / m), int(counts.size)
+
+
+def mean_se(terms):
+    terms = np.asarray(terms)
+    m = terms.shape[0]
+    se = float(terms.std(ddof=1) / math.sqrt(m)) if m > 1 else 0.0
+    return float(terms.mean()), se
+
+
+def cond_estimate(samples: np.ndarray, k: int, bias: str):
+    """H(last column | other columns) from draws, counting the joint and
+    the conditioner blocks separately."""
+    m = samples.shape[0]
+    joint, kj = block_terms(samples, k)
+    cond, kc = block_terms(samples[:, :-1], k)
+    est, se = mean_se(joint - cond)
+    if bias == "miller_madow":
+        est += (kj - kc) / (2.0 * m * math.log(2.0))
+    return est, se
+
+
+def mutual_information(samples: np.ndarray, k: int, bias: str) -> float:
+    """I(last column; other columns) from draws, counting the joint, the
+    block and the last column separately."""
+    m = samples.shape[0]
+    joint, kj = block_terms(samples, k)
+    block, kb = block_terms(samples[:, :-1], k)
+    target, kt = block_terms(samples[:, -1:], k)
+    mi, _ = mean_se(target + block - joint)
+    if bias == "miller_madow":
+        mi += (kt + kb - kj - 1) / (2.0 * m * math.log(2.0))
+    return mi

@@ -293,7 +293,7 @@ AUDIT = ["folner", "audit", "--name", "dyadic_standard", "--level", "6",
     "audit_non_int_candidate", "audit_zero_samples", "threads_env_not_int",
     "threads_flag_zero", "threads_flag_negative", "threads_env_zero",
     "threads_env_negative", "audit_epsilon_nan", "audit_epsilon_inf",
-    "validate_negative_level",
+    "validate_negative_level", "reducible_chain",
 ])
 def test_malformed_input_exits_2_without_traceback(tmp_path, case):
     src_dir = str(Path(multiorder.__file__).resolve().parents[1])
@@ -315,6 +315,12 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, case):
         args = AUDIT + ["--candidates", "4", "--epsilon", case.rsplit("_", 1)[1]]
     elif case == "validate_negative_level":
         args = ["tiling", "validate", "--name", "hilbert", "--level", "-1"]
+    elif case == "reducible_chain":
+        config = base_config(tmp_path)
+        config["experiments"][1]["process"] = {
+            "variant": "markov_line", "transition": [[1, 0], [0, 1]]}
+        doc.write_text(json.dumps(config))
+        args = ["entropy", "run", "--config", str(doc)]
     else:
         doc.write_text(json.dumps(base_config(tmp_path)))
         args = ["entropy", "run", "--config", str(doc)]

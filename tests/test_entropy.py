@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from multiorder import cli, entropy, orders, process, tiling
+from multiorder import cli, entropy, orders, process, tiling, util
 from multiorder.entropy import Frame, make_frame, successor_step
 from multiorder.errors import (
     ConsistencyError,
@@ -431,3 +431,65 @@ def test_report_serialization():
         "estimate", "stderr", "samples", "orders", "truncation", "bias_mode",
         "undersampled", "gap", "resamples",
     }
+
+
+THREE = ((0.5, 0.3, 0.2), (0.1, 0.6, 0.3), (0.25, 0.25, 0.5))
+COUNT_PROCESSES = {
+    "flip": flip_chain,
+    "three_state": lambda: MarkovLine(transition=THREE),
+    "overlay": lambda: PeriodicOverlay(flip_chain(), 2),
+    "deterministic": lambda: Bernoulli(LINE, (1.0, 0.0)),
+}
+
+
+def same_bits(a, b):
+    """Equal floats with equal sign of zero."""
+    return repr(tuple(map(float, a))) == repr(tuple(map(float, b)))
+
+
+@pytest.mark.parametrize("bias", ["plugin", "miller_madow"])
+@pytest.mark.parametrize("j", [0, 1, 3])
+@pytest.mark.parametrize("name", sorted(COUNT_PROCESSES))
+def test_cond_estimate_matches_separate_counts(name, j, bias):
+    proc = COUNT_PROCESSES[name]()
+    cond = [(-2 * p - 1,) for p in range(j)][::-1]
+    m = 700
+    got = entropy._cond_estimate(proc, cond, m, 19, bias)
+    draws = process.sample_many(proc, cond + [(0,)], m, 19)
+    want = oracles.cond_estimate(draws, process.alphabet_size(proc), bias)
+    assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("bias", ["plugin", "miller_madow"])
+@pytest.mark.parametrize("name", sorted(COUNT_PROCESSES))
+def test_order_estimators_match_separate_counts(name, bias):
+    proc = COUNT_PROCESSES[name]()
+    k = process.alphabet_size(proc)
+    spec = tiling.builtin("dyadic_alternating")
+    seeds = util.spawn_seeds(23, 3)
+    gap, j, m = 2, 2, 400
+
+    def remote(i, w, s):
+        cells = np.concatenate([w.rows(-gap - j, -gap - 1), np.zeros((1, 1), np.int64)])
+        draws = process.sample_many(proc, cells, m, util.child_seed(s, 1))
+        return oracles.mutual_information(draws, k, bias)
+
+    def cond(i, w, s):
+        cells = np.concatenate([w.rows(-j, -1), np.zeros((1, 1), np.int64)])
+        draws = process.sample_many(proc, cells, m, util.child_seed(s, 1))
+        return oracles.cond_estimate(draws, k, bias)[0]
+
+    rep = entropy.remote_past_mi(proc, spec, gap, j, 3, m, 6, 23, bias)
+    ests, _ = entropy.per_order(spec, 6, seeds, remote, need_past=gap + j)
+    assert same_bits((rep.estimate, rep.stderr), oracles.mean_se(ests))
+    rep = entropy.mc_integral(proc, spec, j, 3, m, 6, 23, bias)
+    ests, _ = entropy.per_order(spec, 6, seeds, cond, need_past=j)
+    assert same_bits((rep.estimate, rep.stderr), oracles.mean_se(ests))
+
+    w = natural_window(-3, 3)
+    rep = entropy.block_entropy_along_order(proc, w, 3, m, 29, bias)
+    terms, support = oracles.block_terms(process.sample_many(proc, w.rows(0, 3), m, 29), k)
+    est, se = oracles.mean_se(terms)
+    if bias == "miller_madow":
+        est += (support - 1) / (2.0 * m * math.log(2.0))
+    assert same_bits((rep.estimate, rep.stderr), (est / 4, se / 4))

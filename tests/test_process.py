@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from multiorder import process
@@ -13,6 +15,7 @@ LINE = GroupSpec.line()
 GRID = GroupSpec.grid(2)
 
 FLIP = ((0.9, 0.1), (0.1, 0.9))
+THREE = ((0.5, 0.3, 0.2), (0.1, 0.6, 0.3), (0.25, 0.25, 0.5))
 
 
 def flip_chain():
@@ -107,8 +110,42 @@ def test_markov_validation():
         MarkovLine(transition=((1.0,), (0.0, 1.0)), alphabet=(0, 1))
     with pytest.raises(InputError):
         MarkovLine(transition=FLIP, alphabet=(0, 1), initial=(0.9, 0.1))
+    for reducible in (((1.0, 0.0), (0.0, 1.0)),
+                      ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.5, 0.0, 0.5))):
+        with pytest.raises(InputError, match="no unique stationary law"):
+            MarkovLine(transition=reducible)
     ok = MarkovLine(transition=FLIP, alphabet=(0, 1), initial=(0.5, 0.5))
     assert ok.initial == (0.5, 0.5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    transition=st.sampled_from([FLIP, THREE]),
+    xs=st.lists(st.integers(-40, 40), min_size=1, max_size=9, unique=True),
+    m=st.sampled_from([1, 7, 300]),
+    seed=st.integers(0, 2**32 - 1),
+    period=st.sampled_from([None, 2, 3]),
+)
+@example(transition=FLIP, xs=[5, -3, 0, 2, 11, 8, -1], m=300, seed=1, period=None)
+@example(transition=THREE, xs=[6, 0, 4, 2, 9, -7], m=7, seed=2, period=None)
+@example(transition=THREE, xs=[4], m=1, seed=3, period=None)
+@example(transition=FLIP, xs=[3, -2, 1, 0, 7], m=300, seed=4, period=2)
+def test_markov_sample_many_matches_per_column_reference(transition, xs, m, seed, period):
+    chain = MarkovLine(transition=transition)
+    cells = [(x,) for x in xs]
+
+    def reference(cs, count, s):
+        return oracles.markov_sample_many(chain.matrix, chain.initial,
+                                          [c[0] for c in cs], count, s)
+
+    if period is None:
+        got, want = process.sample_many(chain, cells, m, seed), reference(cells, m, seed)
+    else:
+        overlay = PeriodicOverlay(chain, period)
+        got = process.sample_many(overlay, cells, m, seed)
+        want = oracles.overlay_sample_many(reference, (period,), cells, m, seed)
+    assert got.shape == (m, len(cells))
+    np.testing.assert_array_equal(got, want)
 
 
 def test_stationary_distribution_solver():
@@ -116,6 +153,9 @@ def test_stationary_distribution_solver():
     pi = process.stationary_distribution(P)
     assert np.allclose(pi @ P, pi, atol=1e-12)
     assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+    # one closed class after transient states: still unique
+    absorbing = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
+    assert process.stationary_distribution(absorbing).tolist() == [0.0, 0.0, 1.0]
 
 
 def test_exact_entropy_rates():
