@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -307,6 +308,8 @@ def _cmd_entropy_schema(args) -> int:
     return EXIT_OK
 
 
+# Built once per process: parse_args leaves the parser unchanged.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multiorder",

@@ -27,7 +27,6 @@ import numpy as np
 
 from . import groups, orders, process, tiling
 from .errors import (
-    BudgetError,
     ConsistencyError,
     DimensionMismatchError,
     InputError,
@@ -100,16 +99,23 @@ def plugin_entropy(counts, bias: str = "plugin") -> float:
     return h
 
 
-def _block_counts(samples: np.ndarray, k: int):
-    """Count each row's block once: rows encoded base k (last cell least
-    significant), returning the sorted support codes, each row's index into
-    them and their counts."""
-    n = samples.shape[1]
-    if k**n >= 2**62:
-        raise BudgetError(f"cannot encode {n}-cell blocks over {k} symbols exactly")
-    weights = np.array([k**p for p in range(n - 1, -1, -1)], dtype=np.int64)
-    return np.unique(np.asarray(samples, dtype=np.int64) @ weights,
-                     return_inverse=True, return_counts=True)
+def _block_counts(proc, cells, m: int, seed):
+    """Draw m blocks on the cells and count them: the sorted support codes
+    (base k, last cell least significant), each draw's index into them and
+    their counts.  One stable argsort of the codes, cast to the smallest
+    unsigned dtype of the code space, does the count (a radix sort for
+    spaces of up to 2**16 codes)."""
+    codes = process.sample_codes(proc, cells, m, seed)
+    keys = codes.astype(np.min_scalar_type(process.alphabet_size(proc) ** len(cells) - 1))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(m, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    inverse = np.empty(m, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    return codes[order[starts]], inverse, np.diff(starts, append=m)
 
 
 def _split_counts(codes: np.ndarray, counts: np.ndarray, k: int):
@@ -158,8 +164,7 @@ def block_entropy_along_order(proc, w: OrderWindow, n: int, m: int, seed,
     _check_inputs(proc, w.group, bias)
     if n < 0:
         raise InputError(f"block span must be >= 0, got {n}")
-    idx = process.sample_many(proc, w.rows(0, n), m, seed)
-    _, inverse, counts = _block_counts(idx, process.alphabet_size(proc))
+    _, inverse, counts = _block_counts(proc, w.rows(0, n), m, seed)
     est, se = _mean_se(_info(counts, m)[inverse])
     if bias == "miller_madow":
         est += (counts.size - 1) / (2.0 * m * _LN2)
@@ -177,9 +182,8 @@ def _cond_estimate(proc, cond_cells, m: int, seed, bias: str):
     cells = _with_anchor(proc.group, cond_cells)
     if count_distinct_rows(cells) != len(cells):
         raise InputError("conditioner cells must be distinct and exclude the anchor")
-    idx = process.sample_many(proc, cells, m, seed)
     k = process.alphabet_size(proc)
-    codes, inverse, counts = _block_counts(idx, k)
+    codes, inverse, counts = _block_counts(proc, cells, m, seed)
     cond_counts, kc = _split_counts(codes, counts, k)[:2]
     # a block of no cells has probability one: zero terms
     cond = _info(cond_counts, m) if len(cells) > 1 else 0.0
@@ -445,8 +449,7 @@ def remote_past_mi(proc, spec: tiling.TilingSystemSpec, gap: int, j: int,
 
     def statistic(i, w, s):
         cells = _with_anchor(proc.group, w.rows(-gap - j, -gap - 1))
-        idx = process.sample_many(proc, cells, m, child_seed(s, 1))
-        codes, inverse, counts = _block_counts(idx, k)
+        codes, inverse, counts = _block_counts(proc, cells, m, child_seed(s, 1))
         block, kb, target, kt = _split_counts(codes, counts, k)
         mi, _ = _mean_se((_info(target, m) + _info(block, m) - _info(counts, m))[inverse])
         if bias == "miller_madow":

@@ -7,10 +7,23 @@ uniformly random phase overlaid on a base process (the remote-past test
 process: the phase is recoverable from any far-away marker cell).
 
 Sampling is seeded and exact: marginals on a requested cell set follow the
-true finite-dimensional law, with no burn-in or approximation.  The Markov
-chain is drawn in one pass per cell in sorted order, each cell's symbol the
-count of thresholds its uniform exceeds, read from cumulative transition
-powers computed once per distinct gap.
+true finite-dimensional law, with no burn-in or approximation.  One draw
+kernel, ``_draw_blocks``, yields the symbols of m draws a block of cells at
+a time, in the smallest unsigned dtype that holds the alphabet:
+
+- Bernoulli: one ``rng.random((m, n))`` block; each symbol is the count of
+  entries of numpy's normalised cdf (``choice_cdf``) at most its uniform,
+  over the first k - 1 entries (``inverse_cdf``), so the draw has the bytes
+  of ``Generator.choice(k, size=(m, n), p=probs)``.
+- Markov chain: one ``rng.random((n, m))`` and one column per cell in
+  sorted order, the first by ``inverse_cdf`` of the initial law, each
+  later one the count of thresholds its uniform exceeds, read from
+  cumulative transition powers computed once per distinct gap.
+- Overlay: the base's blocks times the number of phases, plus the marker.
+
+``sample_many`` writes the blocks into an (m, n) int64 symbol array;
+``sample_codes`` folds each block straight into one base-k int64 code per
+draw, so the estimators never build the symbol array.
 """
 
 from __future__ import annotations
@@ -35,8 +48,8 @@ def _check_probs(probs) -> tuple:
     p = tuple(float(x) for x in probs)
     if not p:
         raise InputError("probability vector must be nonempty")
-    if any(x < 0 for x in p):
-        raise InputError(f"probabilities must be >= 0: {p}")
+    if not all(math.isfinite(x) and x >= 0 for x in p):
+        raise InputError(f"probabilities must be finite and >= 0: {p}")
     if abs(sum(p) - 1.0) > _PROB_TOL:
         raise InputError(f"probabilities must sum to 1 within {_PROB_TOL}: sum={sum(p)}")
     return p
@@ -250,59 +263,102 @@ def _check_cells(spec, cells) -> np.ndarray:
     return arr
 
 
-def sample_many(spec, cells, m: int, seed) -> np.ndarray:
-    """Draw m independent configurations; returns (m, len(cells)) symbol
-    indices into the variant's alphabet, exact in law."""
-    cs = _check_cells(spec, cells)
-    n = len(cs)
-    if m < 1:
-        raise InputError(f"sample count must be >= 1, got {m}")
-    if isinstance(spec, Bernoulli):
-        rng = make_rng(seed)
-        if n == 0:
-            return np.zeros((m, 0), dtype=np.int64)
-        return rng.choice(len(spec.probs), size=(m, n), p=np.asarray(spec.probs))
+def choice_cdf(probs) -> np.ndarray:
+    """The cumulative law as ``Generator.choice`` builds it: the running
+    sum, divided by its last entry."""
+    cdf = np.asarray(probs, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
-    if isinstance(spec, MarkovLine):
-        rng = make_rng(seed)
-        if n == 0:
-            return np.zeros((m, 0), dtype=np.int64)
-        order = np.argsort(cs[:, 0])
+
+def inverse_cdf(cdf, u):
+    """Symbols for a uniform or an array of uniforms u in [0, 1): the
+    number of the first k - 1 entries of cdf that are <= u, in the smallest
+    unsigned dtype holding k - 1.  Wherever u < cdf[-1] this is the
+    right-side insertion point of u in cdf; index k is never returned, even
+    when cdf[-1] < 1."""
+    out = np.min_scalar_type(len(cdf) - 1).type(0)
+    # one comparison at least (never true for one symbol), so an array u
+    # gives an array of its shape
+    for c in cdf[:-1].tolist() or [math.inf]:
+        out += u >= c
+    return out
+
+
+def _draw_blocks(spec, cs, m: int, seed):
+    """Yield (cell index or indices into cs, symbols) until every cell is
+    drawn; symbols has shape (m,) for one index and (m, len(indices)) for
+    several."""
+    if not isinstance(spec, ProcessSpec):
+        raise InputError(f"unknown process variant {type(spec).__name__}")
+    n = len(cs)
+    if n == 0:
+        return
+    if isinstance(spec, Bernoulli):
+        yield slice(None), inverse_cdf(choice_cdf(spec.probs), make_rng(seed).random((m, n)))
+    elif isinstance(spec, MarkovLine):
+        order = np.argsort(cs[:, 0]).tolist()
         xs = cs[order, 0].tolist()
-        u = rng.random((n, m))
-        out = np.empty((n, m), dtype=np.int64)
-        out[order[0]] = np.searchsorted(np.cumsum(spec.initial), u[0], side="right")
+        u = make_rng(seed).random((n, m))
+        prev = inverse_cdf(np.cumsum(spec.initial), u[0])
+        yield order[0], prev
         thresholds = {}
         for c in range(1, n):
             gap = xs[c] - xs[c - 1]
             if gap not in thresholds:
-                cum = np.cumsum(np.linalg.matrix_power(spec.matrix, gap), axis=1).T
-                # u < 1, so a threshold row that is >= 1 throughout adds nothing
+                # the last cumulative column never counts; u < 1, so a
+                # threshold row that is >= 1 throughout adds nothing
+                cum = np.cumsum(np.linalg.matrix_power(spec.matrix, gap), axis=1)[:, :-1].T
                 thresholds[gap] = cum[cum.min(axis=1) < 1.0]
-            prev, col = out[order[c - 1]], out[order[c]]
-            col[:] = 0
+            col = np.zeros(m, dtype=prev.dtype)
             for row in thresholds[gap]:
                 col += u[c] > row.take(prev)
-        return out.T
-
-    if isinstance(spec, PeriodicOverlay):
+            yield order[c], col
+            prev = col
+    else:
         phase_seed, base_seed = spawn_seeds(seed, 2)
         rng = make_rng(phase_seed)
         per = np.asarray(spec.period, dtype=np.int64)
         phases = np.stack(
             [rng.integers(0, p, size=m, dtype=np.int64) for p in per], axis=1
         )
-        base_idx = sample_many(spec.base, cs, m, base_seed)
-        residues = (cs[None, :, :] + phases[:, None, :]) % per
-        strides = np.empty(len(per), dtype=np.int64)
-        acc = 1
-        for col in range(len(per) - 1, -1, -1):
-            strides[col] = acc
-            acc *= int(per[col])
-        marker_idx = residues @ strides
-        return base_idx * math.prod(spec.period) + marker_idx
+        strides = np.cumprod(np.r_[1, per[:0:-1]])[::-1]  # row-major marker index
+        count = np.int64(math.prod(spec.period))
+        for idx, block in _draw_blocks(spec.base, cs, m, base_seed):
+            marker = ((cs[idx] + phases[:, None, :]) % per) @ strides
+            yield idx, block * count + marker.reshape(block.shape)
 
-    raise InputError(f"unknown process variant {type(spec).__name__}")
+
+def _check_draw(spec, cells, m: int) -> np.ndarray:
+    cs = _check_cells(spec, cells)
+    if m < 1:
+        raise InputError(f"sample count must be >= 1, got {m}")
+    return cs
+
+
+def sample_many(spec, cells, m: int, seed) -> np.ndarray:
+    """Draw m independent configurations; returns (m, len(cells)) symbol
+    indices into the variant's alphabet, exact in law."""
+    cs = _check_draw(spec, cells, m)
+    out = np.empty((m, len(cs)), dtype=np.int64)
+    for idx, block in _draw_blocks(spec, cs, m, seed):
+        out[:, idx] = block
+    return out
+
+
+def sample_codes(spec, cells, m: int, seed) -> np.ndarray:
+    """The m draws of sample_many(spec, cells, m, seed), each folded into
+    one base-k int64 code (k the alphabet size, the last cell least
+    significant), without building the (m, len(cells)) symbol array."""
+    cs = _check_draw(spec, cells, m)
+    k, n = alphabet_size(spec), len(cs)
+    if k**n >= 2**62:
+        raise BudgetError(f"cannot encode {n}-cell blocks over {k} symbols exactly")
+    weights = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = np.zeros(m, dtype=np.int64)
+    for idx, block in _draw_blocks(spec, cs, m, seed):
+        codes += np.dot(block, weights[idx])
+    return codes
 
 
 def symbols_of(spec, indices: np.ndarray) -> list:

@@ -35,7 +35,7 @@ from . import groups
 from .errors import InputError, MultiorderError
 from .groups import GroupSpec
 from .orders import OrderWindow
-from .process import stationary_distribution
+from .process import choice_cdf, inverse_cdf, stationary_distribution
 from .util import child_seed, make_rng
 
 SINGLETON_LABEL = "o"
@@ -389,7 +389,7 @@ def sample_address(spec: TilingSystemSpec, level: int, seed) -> Address:
         raise InputError(f"level must be >= 1, got {level}")
     rng = make_rng(seed)
     labels, probs = top_shape_distribution(spec, min(level, 2))
-    top = labels[int(rng.choice(len(labels), p=probs))]
+    top = labels[int(inverse_cdf(choice_cdf(probs), rng.random()))]
     digits = []
     label = top
     for k in range(level, 0, -1):

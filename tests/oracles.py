@@ -140,6 +140,12 @@ def markov_sample_many(P, initial, xs, m: int, seed) -> np.ndarray:
     return out
 
 
+def bernoulli_sample_many(probs, m: int, n: int, seed) -> np.ndarray:
+    """Independent draws by Generator.choice: (m, n) symbol indices."""
+    rng = np.random.default_rng(seed)
+    return rng.choice(len(probs), size=(m, n), p=np.asarray(probs))
+
+
 def overlay_sample_many(base_sample, period, cells, m: int, seed) -> np.ndarray:
     """A periodic marker with uniform phase over base draws: the phase from
     child stream 0, the base from child stream 1 via base_sample(cells, m,
@@ -152,6 +158,14 @@ def overlay_sample_many(base_sample, period, cells, m: int, seed) -> np.ndarray:
         coords = np.array([c[axis] for c in cells], dtype=np.int64)
         marker = marker * p + (coords[None, :] + phases[axis][:, None]) % p
     return base * math.prod(period) + marker
+
+
+def block_counts(samples: np.ndarray, k: int):
+    """np.unique over the rows encoded base k (last column least
+    significant): sorted support codes, each row's index, counts."""
+    weights = k ** np.arange(samples.shape[1] - 1, -1, -1, dtype=np.int64)
+    return np.unique(samples.astype(np.int64) @ weights,
+                     return_inverse=True, return_counts=True)
 
 
 def block_terms(samples: np.ndarray, k: int):

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -293,7 +294,8 @@ AUDIT = ["folner", "audit", "--name", "dyadic_standard", "--level", "6",
     "audit_non_int_candidate", "audit_zero_samples", "threads_env_not_int",
     "threads_flag_zero", "threads_flag_negative", "threads_env_zero",
     "threads_env_negative", "audit_epsilon_nan", "audit_epsilon_inf",
-    "validate_negative_level", "reducible_chain",
+    "validate_negative_level", "reducible_chain", "bernoulli_nan_prob",
+    "markov_nan_transition",
 ])
 def test_malformed_input_exits_2_without_traceback(tmp_path, case):
     src_dir = str(Path(multiorder.__file__).resolve().parents[1])
@@ -315,10 +317,14 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, case):
         args = AUDIT + ["--candidates", "4", "--epsilon", case.rsplit("_", 1)[1]]
     elif case == "validate_negative_level":
         args = ["tiling", "validate", "--name", "hilbert", "--level", "-1"]
-    elif case == "reducible_chain":
+    elif case in ("reducible_chain", "markov_nan_transition", "bernoulli_nan_prob"):
         config = base_config(tmp_path)
         config["experiments"][1]["process"] = {
-            "variant": "markov_line", "transition": [[1, 0], [0, 1]]}
+            "reducible_chain": {"variant": "markov_line", "transition": [[1, 0], [0, 1]]},
+            "markov_nan_transition": {"variant": "markov_line",
+                                      "transition": [[math.nan, 1], [0.5, 0.5]]},
+            "bernoulli_nan_prob": {"variant": "bernoulli", "probs": [math.nan, 1]},
+        }[case]
         doc.write_text(json.dumps(config))
         args = ["entropy", "run", "--config", str(doc)]
     else:

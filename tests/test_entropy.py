@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from multiorder import cli, entropy, orders, process, tiling, util
@@ -493,3 +496,50 @@ def test_order_estimators_match_separate_counts(name, bias):
     if bias == "miller_madow":
         est += (support - 1) / (2.0 * m * math.log(2.0))
     assert same_bits((rep.estimate, rep.stderr), (est / 4, se / 4))
+
+
+BLOCK_PROCESSES = {
+    "bernoulli_grid": lambda: Bernoulli(GRID, (0.2, 0.0, 0.5, 0.3)),
+    "three_state": lambda: MarkovLine(transition=THREE),
+    "overlay_chain": lambda: PeriodicOverlay(MarkovLine(transition=THREE), 2),
+    "overlay_grid": lambda: PeriodicOverlay(Bernoulli(GRID, (0.5, 0.5)), (2, 3)),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BLOCK_PROCESSES)),
+    xs=st.lists(st.integers(-60, 60), min_size=1, max_size=10, unique=True),
+    m=st.sampled_from([1, 7, 300]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(name="three_state", xs=list(range(0, -38, -1)), m=300, seed=5)  # uint64 keys
+@example(name="three_state", xs=[4, -1, 7, 0, 2, -6, 9, 3, -2], m=300, seed=6)  # uint16
+@example(name="bernoulli_grid", xs=[3, 0, -2, 5, 1, 8, -7, 2], m=300, seed=7)  # uint16
+def test_block_counts_match_unique_over_sample_many(name, xs, m, seed):
+    proc = BLOCK_PROCESSES[name]()
+    cells = [(x,) * proc.group.d for x in xs]
+    k = process.alphabet_size(proc)
+    draws = process.sample_many(proc, cells, m, seed)
+    weights = k ** np.arange(len(cells) - 1, -1, -1, dtype=np.int64)
+    np.testing.assert_array_equal(process.sample_codes(proc, cells, m, seed), draws @ weights)
+    got = entropy._block_counts(proc, cells, m, seed)
+    for g, want in zip(got, oracles.block_counts(draws, k)):
+        assert g.dtype == want.dtype
+        np.testing.assert_array_equal(g, want)
+
+
+@pytest.mark.parametrize("name", ["flip", "bernoulli"])
+def test_cond_estimate_peak_memory(name):
+    """One estimate on 7 cells never holds the uniforms and an (m, 7) int64
+    symbol array at once: its traced peak stays below 1.75 uniform arrays."""
+    proc = flip_chain() if name == "flip" else Bernoulli(LINE, (0.3, 0.7))
+    m, cond = 16384, [(-2 * p - 1,) for p in range(6)]
+    entropy._cond_estimate(proc, cond, m, 3, "miller_madow")
+    tracemalloc.start()
+    try:
+        entropy._cond_estimate(proc, cond, m, 3, "miller_madow")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * m * 7 * 8

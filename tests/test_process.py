@@ -148,6 +148,72 @@ def test_markov_sample_many_matches_per_column_reference(transition, xs, m, seed
     np.testing.assert_array_equal(got, want)
 
 
+def normalised(weights) -> tuple:
+    w = np.asarray(weights, dtype=float)
+    return tuple(w / w.sum())
+
+
+WEIGHTS = st.lists(st.integers(0, 4), min_size=1, max_size=5).filter(any)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    weights=WEIGHTS,
+    m=st.sampled_from([1, 7, 300]),
+    n=st.sampled_from([0, 1, 5]),
+    d=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(weights=[0, 3, 0, 1, 0], m=300, n=5, d=2, seed=1)
+@example(weights=[2], m=7, n=5, d=1, seed=2)
+def test_bernoulli_draws_match_generator_choice(weights, m, n, d, seed):
+    probs = normalised(weights)
+    spec = Bernoulli(LINE if d == 1 else GRID, probs)
+    cells = [(i,) * d for i in range(n)]
+    got = process.sample_many(spec, cells, m, seed)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, oracles.bernoulli_sample_many(probs, m, n, seed))
+
+
+@settings(max_examples=120, deadline=None)
+@given(weights=WEIGHTS, seed=st.integers(0, 2**32 - 1))
+def test_scalar_inverse_cdf_matches_generator_choice(weights, seed):
+    probs = np.asarray(normalised(weights))
+    u = np.random.default_rng(seed).random()
+    want = np.random.default_rng(seed).choice(len(probs), p=probs)
+    assert int(process.inverse_cdf(process.choice_cdf(probs), u)) == want
+
+
+def test_inverse_cdf_never_returns_the_alphabet_size():
+    top = 1 - 2**-53  # the largest uniform below 1
+    cdf = np.array([0.25, 0.5, 1 - 1e-12])
+    assert np.searchsorted(cdf, top, side="right") == 3
+    assert int(process.inverse_cdf(cdf, top)) == 2
+    assert process.inverse_cdf(cdf, np.full((2, 3), top)).tolist() == [[2] * 3] * 2
+
+
+def test_markov_draws_stay_in_the_alphabet_when_cdfs_end_below_one(monkeypatch):
+    short = 5e-13
+    chain = MarkovLine(transition=((0.9, 0.1 - short), (0.1, 0.9 - short)),
+                       initial=(0.5, 0.5 - short))
+
+    class Top:
+        """Every uniform at the largest double below 1."""
+
+        def random(self, shape):
+            return np.full(shape, 1 - 2**-53)
+
+    monkeypatch.setattr(process, "make_rng", lambda seed: Top())
+    cells = [(0,), (1,), (3,), (7,)]
+    assert process.sample_many(chain, cells, 3, seed=0).tolist() == [[1] * 4] * 3
+    assert process.sample_codes(chain, cells, 3, seed=0).tolist() == [15] * 3
+
+
+def test_sample_codes_budget():
+    with pytest.raises(BudgetError):
+        process.sample_codes(fair_line(), [(i,) for i in range(62)], 1, seed=0)
+
+
 def test_stationary_distribution_solver():
     P = np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
     pi = process.stationary_distribution(P)
