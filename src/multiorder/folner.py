@@ -47,11 +47,7 @@ def invariance_ratio(spec: GroupSpec, F, K) -> Fraction:
         raise InputError("F must be nonempty")
     if not len(k):
         raise InputError("K must be nonempty")
-    # KF is summed in int64, where an out-of-range sum would wrap silently.
-    if (int(k.min()) + int(f.min()) < -2**63
-            or int(k.max()) + int(f.max()) >= 2**63):
-        raise InputError("sums of F and K coordinates must fit in int64")
-    kf = (k[:, None, :] + f[None, :, :]).reshape(-1, spec.d)
+    kf = groups.add_cells(k[:, None, :], f[None, :, :]).reshape(-1, spec.d)
     n_f = count_distinct_rows(f)
     n_union = count_distinct_rows(np.concatenate([kf, f]))
     return Fraction(2 * n_union - count_distinct_rows(kf) - n_f, n_f)

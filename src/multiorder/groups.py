@@ -107,6 +107,15 @@ def as_cell_array(spec: GroupSpec, cells) -> np.ndarray:
     return arr
 
 
+def add_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b on int64 cell arrays (broadcast), raising InputError where a
+    coordinate sum could leave int64 instead of letting numpy wrap it."""
+    if (int(a.min(initial=0)) + int(b.min(initial=0)) < -2**63
+            or int(a.max(initial=0)) + int(b.max(initial=0)) >= 2**63):
+        raise InputError("sums of cell coordinates must fit in int64")
+    return a + b
+
+
 def compose(spec: GroupSpec, a, b) -> Element:
     """The product a*b (coordinatewise sum on the lattice)."""
     a = element(spec, a)

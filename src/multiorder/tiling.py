@@ -8,10 +8,11 @@ recursively concatenating child expansions in rule order lays the shape's
 cells on a discrete curve; the built-in systems are two dyadic interval
 systems on the line and the Hilbert-curve square system on the plane.
 
-Each spec caches one child table per (level, label): child labels, an
-(arity, d) int64 offset array and each child's start rank, the prefix sums
-of the child curve lengths.  Curves are built from it, so drawing and
-expanding an address build no Shape.
+A shape's cells are one (n, d) int64 array of sorted rows.  Each spec also
+caches one child table per (level, label): child labels, an (arity, d)
+int64 offset array and each child's start rank, the prefix sums of the
+child curve lengths.  Curves are built from it, so drawing and expanding an
+address build no Shape.
 
 An address fixes a level-L top shape together with one digit per level
 selecting the central subtile, which pins where the identity sits inside
@@ -43,14 +44,12 @@ SINGLETON_LABEL = "o"
 
 @dataclass(frozen=True)
 class Shape:
-    """A labelled finite cell set containing the identity."""
+    """A labelled finite cell set containing the identity.  cells may be any
+    collection of cells; TilingSystemSpec.shapes holds them as a read-only
+    (n, d) int64 array of the distinct cells, rows in lexicographic order."""
 
     label: str
-    cells: frozenset
-
-    @property
-    def size(self) -> int:
-        return len(self.cells)
+    cells: object
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,13 @@ class TilingSystemSpec:
         """Labelled shapes at level k (k >= 0)."""
         self._check_level(k, 0)
         if k not in self._shapes_cache:
-            self._shapes_cache[k] = dict(self._shapes_fn(k))
+            table = self._shapes_fn(k)
+            # Labels sharing one cell collection share one array.
+            arrays = {id(sh.cells): sh.cells for sh in table.values()}
+            arrays = {key: _sorted_runs(groups.as_cell_array(self.group, cells))[2]
+                      for key, cells in arrays.items()}
+            self._shapes_cache[k] = {lab: Shape(sh.label, arrays[id(sh.cells)])
+                                     for lab, sh in table.items()}
         return self._shapes_cache[k]
 
     def rules(self, k: int) -> dict:
@@ -111,12 +116,6 @@ class TilingSystemSpec:
             return self.rules(k)[label]
         except KeyError:
             raise InputError(f"no rule for shape {label!r} at level {k}") from None
-
-    def shape_size(self, k: int, label: str) -> int:
-        try:
-            return self.shapes(k)[label].size
-        except KeyError:
-            raise InputError(f"no shape {label!r} at level {k}") from None
 
     def children(self, k: int, label: str) -> tuple:
         """The rule of a level-k shape as (child labels, (arity, d) int64
@@ -160,19 +159,12 @@ class TilingSystemSpec:
 
     def to_json(self, max_level: int) -> dict:
         """Serialize shape tables and rules up to the given level."""
-        shapes = {}
-        for k in range(0, max_level + 1):
-            shapes[str(k)] = {
-                lab: sorted(groups.encode(c) for c in sh.cells)
-                for lab, sh in self.shapes(k).items()
-            }
-        rules = {}
-        for k in range(1, max_level + 1):
-            rules[str(k)] = {
-                lab: [[cl, groups.encode(groups.element(self.group, off))]
-                      for cl, off in r.children]
-                for lab, r in self.rules(k).items()
-            }
+        shapes = {str(k): {lab: sh.cells.tolist() for lab, sh in self.shapes(k).items()}
+                  for k in range(0, max_level + 1)}
+        rules = {str(k): {lab: [[cl, groups.encode(groups.element(self.group, off))]
+                                for cl, off in r.children]
+                          for lab, r in self.rules(k).items()}
+                 for k in range(1, max_level + 1)}
         return {
             "name": self.name,
             "group": self.group.to_json(),
@@ -186,39 +178,48 @@ class TilingSystemSpec:
     def from_tables(cls, group: GroupSpec, name: str, shapes_by_level: dict,
                     rules_by_level: dict, canonical_label: str,
                     max_level: int) -> "TilingSystemSpec":
-        """Build a spec from explicit per-level tables (levels 0..max_level)."""
-
-        def shapes_fn(k):
-            return shapes_by_level[k]
-
-        def rules_fn(k):
-            return rules_by_level[k]
-
-        return cls(group, name, shapes_fn, rules_fn, canonical_label, max_level)
+        """Build a spec from explicit per-level tables: shapes at every level
+        0..max_level and rules at every level 1..max_level."""
+        for kind, tables, floor in (("shape", shapes_by_level, 0), ("rule", rules_by_level, 1)):
+            missing = [k for k in range(floor, max_level + 1) if k not in tables]
+            if missing:
+                raise InputError(f"no {kind} table at levels {missing} (max_level {max_level})")
+        return cls(group, name, shapes_by_level.__getitem__, rules_by_level.__getitem__,
+                   canonical_label, max_level)
 
     @classmethod
     def from_json(cls, obj: dict) -> "TilingSystemSpec":
         group = GroupSpec.from_json(obj["group"])
         max_level = int(obj["max_level"])
-        shapes_by_level = {}
-        for k_str, table in obj["shapes"].items():
-            k = int(k_str)
-            shapes_by_level[k] = {
-                lab: Shape(lab, frozenset(groups.decode(group, c) for c in cell_list))
-                for lab, cell_list in table.items()
-            }
-        rules_by_level = {}
-        for k_str, table in obj["rules"].items():
-            k = int(k_str)
-            rules_by_level[k] = {
-                lab: SubstitutionRule(
-                    lab,
-                    tuple((cl, groups.decode(group, off)) for cl, off in children),
-                )
-                for lab, children in table.items()
-            }
+        shapes_by_level = {int(k): {lab: Shape(lab, [groups.decode(group, c) for c in cells])
+                                    for lab, cells in table.items()}
+                           for k, table in obj["shapes"].items()}
+        rules_by_level = {int(k): {lab: _decode_rule(group, lab, children)
+                                   for lab, children in table.items()}
+                          for k, table in obj["rules"].items()}
         return cls.from_tables(group, obj["name"], shapes_by_level, rules_by_level,
                                obj["canonical_label"], max_level)
+
+
+def _decode_rule(group: GroupSpec, label: str, children) -> SubstitutionRule:
+    for child in children:
+        if not (isinstance(child, (list, tuple)) and len(child) == 2 and isinstance(child[0], str)):
+            raise InputError(f"rule child must be a [label, element] pair, got {child!r}")
+    return SubstitutionRule(label, tuple((cl, groups.decode(group, off)) for cl, off in children))
+
+
+def _sorted_runs(rows: np.ndarray):
+    """The permutation sorting the rows lexicographically, the sorted
+    positions where each run of equal rows starts, and the distinct rows
+    in that order, read-only."""
+    order = np.lexsort(rows.T[::-1])  # lexsort's last key is its first
+    ordered = rows[order]
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    starts = np.flatnonzero(fresh)
+    distinct = ordered[starts]
+    distinct.setflags(write=False)
+    return order, starts, distinct
 
 
 class _Walk(NamedTuple):
@@ -251,6 +252,8 @@ class Address:
             raise InputError(
                 f"address needs {self.level} digits, got {len(self.digits)}"
             )
+        if any(type(d) is bool or not isinstance(d, (int, np.integer)) for d in self.digits):
+            raise InputError(f"address digits must be ints, got {self.digits!r}")
         labels, arities, rank = [self.top], [], 0
         steps = np.zeros((self.level + 1, self.spec.group.d), dtype=np.int64)
         for pos, k in enumerate(range(self.level, 0, -1)):
@@ -305,52 +308,43 @@ class ValidationReport:
 def validate_spec(spec: TilingSystemSpec, max_level: int) -> ValidationReport:
     """Check exact-partition, identity-containing, and rule-coverage
     conditions for levels 1..max_level.  Violations are reported as data,
-    not raised."""
+    not raised; witness cells are int tuples, in sorted order per kind."""
     if max_level < 0:
         raise InputError(f"level must be >= 0, got {max_level}")
     violations = []
     e = groups.identity(spec.group)
     for k in range(0, max_level + 1):
         for lab, shape in spec.shapes(k).items():
-            if e not in shape.cells:
+            if not (shape.cells == 0).all(axis=1).any():
                 violations.append(Violation(k, lab, "missing_identity", e))
-    if not spec.shapes(0) or any(s.size != 1 for s in spec.shapes(0).values()):
+    if not spec.shapes(0) or any(len(s.cells) != 1 for s in spec.shapes(0).values()):
         violations.append(Violation(0, "", "level_zero_not_singletons", None))
     for k in range(1, max_level + 1):
-        shapes_k = spec.shapes(k)
         shapes_below = spec.shapes(k - 1)
         rules_k = spec.rules(k)
-        for lab in shapes_k:
+        for lab, shape in spec.shapes(k).items():
             if lab not in rules_k:
                 violations.append(Violation(k, lab, "missing_rule", None))
                 continue
-            rule = rules_k[lab]
-            seen: dict = {}
-            bad_child = False
-            for child_label, offset in rule.children:
-                if child_label not in shapes_below:
-                    violations.append(
-                        Violation(k, lab, "unknown_child", child_label)
-                    )
-                    bad_child = True
-                    continue
-                off = groups.element(spec.group, offset)
-                for c in shapes_below[child_label].cells:
-                    cell = groups.compose(spec.group, c, off)
-                    if cell in seen:
-                        violations.append(
-                            Violation(k, lab, "overlapping_children", cell)
-                        )
-                    else:
-                        seen[cell] = True
-            if bad_child:
-                continue
-            parent_cells = shapes_k[lab].cells
-            covered = set(seen)
-            for cell in sorted(parent_cells - covered):
-                violations.append(Violation(k, lab, "uncovered_cell", cell))
-            for cell in sorted(covered - parent_cells):
-                violations.append(Violation(k, lab, "cell_outside_parent", cell))
+            children = rules_k[lab].children
+            offsets = groups.as_cell_array(spec.group, [off for _, off in children])
+            unknown = [c for c, _ in children if c not in shapes_below]
+            violations.extend(Violation(k, lab, "unknown_child", c) for c in unknown)
+            rows = np.concatenate([shape.cells] + [
+                groups.add_cells(shapes_below[c].cells, off)
+                for (c, _), off in zip(children, offsets) if c in shapes_below])
+            # The sort is stable and parent rows are distinct, so a run of equal
+            # rows starts with the parent's row if it has one; c child rows in a
+            # run overlap c - 1 times.
+            order, starts, cells = _sorted_runs(rows)
+            in_parent = order[starts] < len(shape.cells)
+            n_child = np.diff(np.append(starts, len(rows))) - in_parent
+            found = {"overlapping_children": np.repeat(cells, np.maximum(n_child - 1, 0), axis=0)}
+            if not unknown:
+                found["uncovered_cell"] = cells[n_child == 0]
+                found["cell_outside_parent"] = cells[~in_parent]
+            violations.extend(Violation(k, lab, kind, tuple(cell))
+                              for kind, arr in found.items() for cell in arr.tolist())
     return ValidationReport(max_level, tuple(violations))
 
 
@@ -490,8 +484,8 @@ def _dyadic_spec(name: str, alternating: bool) -> TilingSystemSpec:
 
     def shapes_fn(k):
         if k == 0:
-            return {SINGLETON_LABEL: Shape(SINGLETON_LABEL, frozenset({(0,)}))}
-        return {"I": Shape("I", frozenset((i,) for i in range(2**k)))}
+            return {SINGLETON_LABEL: Shape(SINGLETON_LABEL, np.zeros((1, 1), dtype=np.int64))}
+        return {"I": Shape("I", np.arange(2**k, dtype=np.int64).reshape(-1, 1))}
 
     def rules_fn(k):
         child = "I" if k - 1 >= 1 else SINGLETON_LABEL
@@ -529,8 +523,8 @@ def _hilbert_spec() -> TilingSystemSpec:
 
     def shapes_fn(k):
         if k == 0:
-            return {SINGLETON_LABEL: Shape(SINGLETON_LABEL, frozenset({(0, 0)}))}
-        cells = frozenset((x, y) for x in range(2**k) for y in range(2**k))
+            return {SINGLETON_LABEL: Shape(SINGLETON_LABEL, np.zeros((1, 2), dtype=np.int64))}
+        cells = np.indices((2**k, 2**k), dtype=np.int64).reshape(2, -1).T
         return {lab: Shape(lab, cells) for lab in _HILBERT_TABLE}
 
     def rules_fn(k):

@@ -78,6 +78,56 @@ def markov_rate(P) -> float:
     return float(sum(pi[i] * entropy_bits(P[i]) for i in range(len(pi))))
 
 
+def validate_spec(spec, max_level: int) -> list:
+    """The tuple reference for tiling.validate_spec, on any object with
+    group.d, shapes(k) -> {label: shape with .cells} and rules(k) ->
+    {label: rule with .children}: every child cell is translated one at a
+    time, overlaps are found through a seen dict and coverage through set
+    differences.  Returns (level, label, kind, witness) tuples."""
+    def cell_set(shape):
+        return frozenset(tuple(int(x) for x in c) for c in shape.cells)
+
+    violations = []
+    e = (0,) * spec.group.d
+    for k in range(0, max_level + 1):
+        for lab, shape in spec.shapes(k).items():
+            if e not in cell_set(shape):
+                violations.append((k, lab, "missing_identity", e))
+    if not spec.shapes(0) or any(len(cell_set(s)) != 1 for s in spec.shapes(0).values()):
+        violations.append((0, "", "level_zero_not_singletons", None))
+    for k in range(1, max_level + 1):
+        shapes_k = spec.shapes(k)
+        shapes_below = spec.shapes(k - 1)
+        rules_k = spec.rules(k)
+        for lab in shapes_k:
+            if lab not in rules_k:
+                violations.append((k, lab, "missing_rule", None))
+                continue
+            seen: dict = {}
+            bad_child = False
+            for child_label, offset in rules_k[lab].children:
+                if child_label not in shapes_below:
+                    violations.append((k, lab, "unknown_child", child_label))
+                    bad_child = True
+                    continue
+                off = (offset,) if isinstance(offset, int) else tuple(offset)
+                for c in cell_set(shapes_below[child_label]):
+                    cell = tuple(x + y for x, y in zip(c, off))
+                    if cell in seen:
+                        violations.append((k, lab, "overlapping_children", cell))
+                    else:
+                        seen[cell] = True
+            if bad_child:
+                continue
+            parent_cells = cell_set(shapes_k[lab])
+            covered = set(seen)
+            for cell in sorted(parent_cells - covered):
+                violations.append((k, lab, "uncovered_cell", cell))
+            for cell in sorted(covered - parent_cells):
+                violations.append((k, lab, "cell_outside_parent", cell))
+    return violations
+
+
 def markov_joint_law(P, pi, cells) -> dict:
     """Exact joint law on sorted 1d cells via literal matrix powers."""
     P = np.asarray(P, dtype=float)

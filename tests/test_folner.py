@@ -200,7 +200,7 @@ def test_interval_growth_of_full_tiles(builtins):
     cases = [("dyadic_standard", 2, 1), ("dyadic_alternating", 4, 5), ("hilbert", 2, 3)]
     for name, k, n in cases:
         spec = builtins[name]
-        size = spec.shape_size(k, spec.canonical_label)
+        size = len(spec.curve(k, spec.canonical_label))
         level = k + 2 if name != "hilbert" else k + 1
         addr, _ = tiling.sample_straight_address(
             spec, level, seed=5, need_past=size + n, need_future=size + n

@@ -1,3 +1,8 @@
+import hashlib
+import json
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,10 +133,20 @@ def test_central_tile_translation_and_nesting(builtins):
             prev = cells
 
 
+def violation_multiset(report) -> Counter:
+    return Counter((v.level, v.label, v.kind, v.witness) for v in report.violations)
+
+
+def assert_matches_oracle(spec, level):
+    report = tiling.validate_spec(spec, level)
+    assert violation_multiset(report) == Counter(oracles.validate_spec(spec, level))
+    return report
+
+
 def test_validate_builtins_clean(builtins):
     for name, spec in builtins.items():
         level = 4 if name == "hilbert" else 7
-        report = tiling.validate_spec(spec, level)
+        report = assert_matches_oracle(spec, level)
         assert report.ok, report.violations
 
 
@@ -146,19 +161,19 @@ def corrupted_spec(rule_children, level1_cells=(0, 1)):
 
 def test_validate_reports_overlap_with_witness():
     spec = corrupted_spec([("o", (0,)), ("o", (0,))])
-    report = tiling.validate_spec(spec, 1)
+    report = assert_matches_oracle(spec, 1)
     kinds = {(v.kind, v.witness) for v in report.violations}
     assert ("overlapping_children", (0,)) in kinds
     assert ("uncovered_cell", (1,)) in kinds
 
 
 def test_validate_reports_other_defects():
-    report = tiling.validate_spec(corrupted_spec([("o", (0,)), ("o", (2,))]), 1)
+    report = assert_matches_oracle(corrupted_spec([("o", (0,)), ("o", (2,))]), 1)
     kinds = {(v.kind, v.witness) for v in report.violations}
     assert ("cell_outside_parent", (2,)) in kinds
     assert ("uncovered_cell", (1,)) in kinds
 
-    report = tiling.validate_spec(corrupted_spec([("o", (0,)), ("x", (1,))]), 1)
+    report = assert_matches_oracle(corrupted_spec([("o", (0,)), ("x", (1,))]), 1)
     assert any(v.kind == "unknown_child" and v.witness == "x"
                for v in report.violations)
 
@@ -167,9 +182,88 @@ def test_validate_reports_other_defects():
         1: {"I": Shape("I", frozenset({(1,), (2,)}))},
     }
     spec = TilingSystemSpec.from_tables(LINE, "broken", shapes, {1: {}}, "I", 1)
-    report = tiling.validate_spec(spec, 1)
+    report = assert_matches_oracle(spec, 1)
     kinds = {v.kind for v in report.violations}
     assert "missing_identity" in kinds and "missing_rule" in kinds
+
+
+@pytest.mark.parametrize("offset, level1_cells", [(2**63 - 1, (0, 1)), (-2**63, (-1, 0))])
+def test_validate_rejects_offsets_leaving_int64(offset, level1_cells):
+    shapes = {
+        0: {"o": Shape("o", [(0,)])},
+        1: {"I": Shape("I", [(c,) for c in level1_cells])},
+        2: {"I": Shape("I", [(0,)])},
+    }
+    rules = {
+        1: {"I": SubstitutionRule("I", tuple(("o", (c,)) for c in level1_cells))},
+        2: {"I": SubstitutionRule("I", (("I", (offset,)),))},
+    }
+    spec = TilingSystemSpec.from_tables(LINE, "far", shapes, rules, "I", 2)
+    with pytest.raises(InputError):
+        tiling.validate_spec(spec, 2)
+
+
+def test_shape_cells_are_distinct_sorted_int64_rows():
+    shapes = {
+        0: {"o": Shape("o", [(0,), (0,)])},
+        1: {"I": Shape("I", frozenset({(1,), (0,)})), "J": Shape("J", [(2,), (0,), (2,)])},
+    }
+    spec = TilingSystemSpec.from_tables(LINE, "dup", shapes, {1: {}}, "I", 1)
+    cells = {lab: sh.cells for lab, sh in spec.shapes(1).items()}
+    assert cells["I"].tolist() == [[0], [1]] and cells["J"].tolist() == [[0], [2]]
+    assert spec.shapes(0)["o"].cells.tolist() == [[0]]
+    for arr in cells.values():
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+    hilbert = tiling.builtin("hilbert").shapes(2)
+    assert hilbert["U"].cells is hilbert["D"].cells
+
+
+@st.composite
+def tile_tables(draw):
+    """Small shape and rule tables on Z or Z^2 with every defect
+    validate_spec reports: overlapping children, gaps, cells outside the
+    parent, unknown child labels, missing rules and identities, and shapes
+    listing a cell twice.  Parent cells start as the union of the child
+    translates, so some tables are clean."""
+    d = draw(st.integers(1, 2))
+    top = draw(st.integers(1, 3))
+    cell = st.tuples(*[st.integers(-2, 2)] * d)
+    zero, one = (0,) * d, (1,) * d
+    level0 = draw(st.sampled_from([[zero], [zero], [zero, zero], [one], [zero, one]]))
+    shapes, rules = {0: {"o": Shape("o", level0)}}, {}
+    for k in range(1, top + 1):
+        below = shapes[k - 1]
+        shapes[k], rules[k] = {}, {}
+        for lab in draw(st.lists(st.sampled_from("AB"), min_size=1, max_size=2, unique=True)):
+            label = st.sampled_from(sorted(below) * 4 + ["x"])
+            children = [(draw(label), zero)] + draw(
+                st.lists(st.tuples(label, st.sampled_from([one]) | cell), max_size=2))
+            cells = [tuple(a + b for a, b in zip(c, off))
+                     for cl, off in children if cl in below for c in below[cl].cells]
+            if cells and not draw(st.integers(0, 2)):  # a child cell outside the parent
+                gone = draw(st.sampled_from(cells))
+                cells = [c for c in cells if c != gone]
+            cells += draw(st.lists(cell, max_size=1))  # a gap, unless a child covers it
+            if draw(st.booleans()):
+                cells += cells[:1]
+            shapes[k][lab] = Shape(lab, cells)
+            if draw(st.integers(0, 4)):
+                rules[k][lab] = SubstitutionRule(lab, tuple(children))
+    return GroupSpec(d), shapes, rules, top
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables=tile_tables())
+def test_validate_matches_tuple_oracle_and_survives_json(tables):
+    group, shapes, rules, top = tables
+    raw = SimpleNamespace(group=group, shapes=shapes.__getitem__, rules=rules.__getitem__)
+    expected = Counter(oracles.validate_spec(raw, top))
+    spec = TilingSystemSpec.from_tables(group, "drawn", shapes, rules, "A", top)
+    report = tiling.validate_spec(spec, top)
+    assert violation_multiset(report) == expected
+    json.dumps([v.witness for v in report.violations])
+    back = TilingSystemSpec.from_json(json.loads(json.dumps(spec.to_json(top))))
+    assert violation_multiset(tiling.validate_spec(back, top)) == expected
 
 
 def test_address_validation():
@@ -180,6 +274,11 @@ def test_address_validation():
         Address(spec, 2, "I", (1, 3))
     with pytest.raises(InputError):
         Address(spec, 0, "I", ())
+    with pytest.raises(InputError):
+        Address(spec, 2, "I", (1.5, 1))
+    with pytest.raises(InputError):
+        Address(spec, 2, "I", (True, 1))
+    assert Address(spec, 2, "I", (np.int64(2), 1)).digits == (2, 1)
 
 
 def test_straight_check_runs():
@@ -286,7 +385,18 @@ def test_speedup_address_mapping(builtins):
         assert old == new
 
 
+# sha256 of json.dumps(builtin(name).to_json(3)), fixed before shapes became arrays.
+_TO_JSON_LEVEL3_SHA256 = {
+    "dyadic_standard": "bc774c36e2fc5296adf822bce6e4cb1f5d930095ef9fc174ee9dd8dcab5fe828",
+    "dyadic_alternating": "fb60c14332ee1f7d103309fe97658e50fe0cff4656c0c4d993e1c70732804d88",
+    "hilbert": "54533327772a51a162c37d7a821470475bd5b0b348483c7092b8aec5fdc962e5",
+}
+
+
 def test_json_round_trip(builtins):
+    for name, digest in _TO_JSON_LEVEL3_SHA256.items():
+        dump = json.dumps(builtins[name].to_json(3)).encode()
+        assert hashlib.sha256(dump).hexdigest() == digest, name
     spec = builtins["hilbert"]
     blob = spec.to_json(3)
     back = TilingSystemSpec.from_json(blob)
@@ -296,6 +406,22 @@ def test_json_round_trip(builtins):
     assert tiling.validate_spec(back, 3).ok
     with pytest.raises(InputError):
         back.curve(4, "U")
+
+
+@pytest.mark.parametrize("case", ["missing_shape_table", "missing_rule_table",
+                                  "max_level_above_tables", "rule_child_not_a_pair"])
+def test_from_json_rejects_malformed_tables(builtins, case):
+    blob = json.loads(json.dumps(builtins["hilbert"].to_json(3)))
+    if case == "missing_shape_table":
+        del blob["shapes"]["2"]
+    elif case == "missing_rule_table":
+        del blob["rules"]["2"]
+    elif case == "max_level_above_tables":
+        blob["max_level"] = 4
+    else:
+        blob["rules"]["2"]["U"][0] = ["L"]
+    with pytest.raises(InputError):
+        TilingSystemSpec.from_json(blob)
 
 
 def test_builtin_names():
