@@ -28,8 +28,6 @@ import os
 import sys
 from pathlib import Path
 
-import jsonschema
-
 from . import __version__, entropy, folner, groups, orders, process, tiling
 from .errors import ConsistencyError, InputError, MultiorderError
 from .groups import GroupSpec
@@ -42,8 +40,12 @@ EXIT_CONFIG = 2
 EXIT_CONSISTENCY = 3
 EXIT_UNDERSAMPLED = 4
 
-# Built once: jsonschema.validate re-checks the schema on every call.
-_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(EXPERIMENT_CONFIG_SCHEMA)
+
+@functools.cache
+def _config_validator():
+    """Built once (validate re-checks the schema) and only where a config is read."""
+    import jsonschema
+    return jsonschema.Draft202012Validator(EXPERIMENT_CONFIG_SCHEMA)
 
 
 def _read_json(path: str):
@@ -242,9 +244,10 @@ def _threads(args, config) -> int:
 
 def _cmd_entropy_run(args) -> int:
     config = _read_json(args.config)
-    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(config))
+    from jsonschema.exceptions import best_match
+    error = best_match(_config_validator().iter_errors(config))
     if error is not None:
-        raise error
+        raise InputError(error.message)
     names = [e["name"] for e in config["experiments"]]
     if len(set(names)) != len(names):
         raise InputError("experiment names must be unique")
@@ -385,10 +388,8 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
-    except (InputError, jsonschema.ValidationError, json.JSONDecodeError,
-            FileNotFoundError) as exc:
-        msg = getattr(exc, "message", None) or str(exc)
-        print(f"config/input error: {msg}", file=sys.stderr)
+    except (InputError, json.JSONDecodeError, FileNotFoundError) as exc:
+        print(f"config/input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MultiorderError as exc:
         print(f"error: {exc}", file=sys.stderr)

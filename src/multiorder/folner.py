@@ -1,12 +1,12 @@
 """Exact invariance audits of order intervals.
 
-Cell sets are (n, d) int64 arrays (tuple collections are accepted and
-coerced by ``groups.as_cell_array``), set sizes are distinct-row counts,
-and all ratios are exact ``fractions.Fraction`` values; nothing here is
-floating point.  Two length conventions coexist and are documented per
-function: ``audit_intervals`` takes the position span n of the interval
-[0, n] (n+1 cells), while ``uniform_audit`` and the full-tile helpers take
-cell counts (a complete level-k tile of the square system has 4**k cells).
+Cell sets are (n, d) int64 arrays (tuple collections are coerced in bulk by
+``groups.as_cell_array``), set sizes are distinct-row counts (one sort of
+row codes per ratio), and all ratios are exact ``fractions.Fraction`` values.
+Two length conventions coexist and are documented per function:
+``audit_intervals`` takes the position span n of the interval [0, n] (n+1
+cells), while ``uniform_audit`` and the full-tile helpers take cell counts
+(a complete level-k tile of the square system has 4**k cells).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from . import groups, orders, tiling
 from .errors import InputError, OutOfWindowError
 from .groups import GroupSpec
 from .orders import OrderWindow
-from .util import count_distinct_rows, spawn_seeds
+from .util import count_distinct_rows, row_codes, spawn_seeds
 
 
 def unit_cross(spec: GroupSpec) -> frozenset:
@@ -38,8 +38,8 @@ def unit_cross(spec: GroupSpec) -> frozenset:
 def invariance_ratio(spec: GroupSpec, F, K) -> Fraction:
     """|KF symmetric-difference F| / |F|, exactly.
 
-    Repeated cells count once.  The symmetric difference is counted as
-    2|KF union F| - |KF| - |F|.
+    Repeated cells count once.  2|KF union F| - |KF| - |F| is read off the
+    runs of one sort of the row codes of KF ++ F, doubled, plus one on F.
     """
     f = groups.as_cell_array(spec, F)
     k = groups.as_cell_array(spec, K)
@@ -48,9 +48,13 @@ def invariance_ratio(spec: GroupSpec, F, K) -> Fraction:
     if not len(k):
         raise InputError("K must be nonempty")
     kf = groups.add_cells(k[:, None, :], f[None, :, :]).reshape(-1, spec.d)
-    n_f = count_distinct_rows(f)
-    n_union = count_distinct_rows(np.concatenate([kf, f]))
-    return Fraction(2 * n_union - count_distinct_rows(kf) - n_f, n_f)
+    codes = 2 * row_codes(np.concatenate([kf, f]))
+    codes[len(kf):] += 1  # one run per cell, its even code (from KF) first
+    codes.sort()
+    ends = np.append((codes[1:] >> 1) != (codes[:-1] >> 1), True)
+    n_union, n_f = int(ends.sum()), int(np.count_nonzero(codes[ends] & 1))
+    n_kf = n_union - int(np.count_nonzero(codes[np.roll(ends, 1)] & 1))
+    return Fraction(2 * n_union - n_kf - n_f, n_f)
 
 
 @dataclass(frozen=True)

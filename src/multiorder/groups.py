@@ -3,15 +3,15 @@
 Elements are plain int tuples of length d; the group law is written through
 ``compose``/``inverse`` so callers never assume commutativity even though the
 instantiated groups are abelian.  For d = 1 the helpers accept bare ints.
-A finite cell set travels between modules as an (n, d) int64 array, built
-by ``as_cell_array``.
+Cell sets travel between modules as (n, d) int64 arrays: ``as_cell_array``
+builds one (reading int tuples in bulk), ``cell_tuples`` reads one back.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -89,22 +89,29 @@ def element(spec: GroupSpec, value) -> Element:
 def as_cell_array(spec: GroupSpec, cells) -> np.ndarray:
     """The cells as an (n, d) int64 array, one row per cell in input order.
 
-    An int64 2-d array passes through after the dimension check; any other
-    collection is coerced element by element.
+    An int64 2-d array passes through after the dimension check; length-d
+    tuples and lists of exact ints (no bools) are read in bulk, and anything
+    else goes through ``element`` cell by cell, with its errors.
     """
     if isinstance(cells, np.ndarray) and cells.dtype == np.int64 and cells.ndim == 2:
-        arr = cells
-    else:
-        rows = [element(spec, c) for c in cells]
-        try:
-            arr = np.array(rows, dtype=np.int64).reshape(len(rows), spec.d)
-        except OverflowError:
-            raise InputError("cell coordinates must fit in int64") from None
-    if arr.shape[1] != spec.d:
-        raise DimensionMismatchError(
-            f"cells have dimension {arr.shape[1]}, group dimension is {spec.d}"
-        )
-    return arr
+        if cells.shape[1] != spec.d:
+            raise DimensionMismatchError(f"cells have dimension {cells.shape[1]}, "
+                                         f"group dimension is {spec.d}")
+        return cells
+    rows = list(cells)
+    if not (set(map(type, rows)) <= {tuple, list} and set(map(len, rows)) <= {spec.d}
+            and set(map(type, chain.from_iterable(rows))) <= {int}):
+        rows = [element(spec, c) for c in rows]
+    try:
+        flat = np.fromiter(chain.from_iterable(rows), np.int64, count=len(rows) * spec.d)
+    except OverflowError:
+        raise InputError("cell coordinates must fit in int64") from None
+    return flat.reshape(len(rows), spec.d)
+
+
+def cell_tuples(arr: np.ndarray) -> list[Element]:
+    """Rows as int tuples, built column-wise: half the GC-tracked objects of row-wise."""
+    return list(zip(*arr.T.tolist()))
 
 
 def add_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:

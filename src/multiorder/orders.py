@@ -83,7 +83,7 @@ class OrderWindow:
         return tuple(int(x) for x in self._arr[i - self.lo])
 
     def cells(self) -> list[Element]:
-        return list(map(tuple, self._arr.tolist()))
+        return groups.cell_tuples(self._arr)
 
     def rows(self, i: int, j: int) -> np.ndarray:
         """Read-only (j-i+1, d) array of the cells in positions i..j; no rows
@@ -298,7 +298,7 @@ def _shift(w: OrderWindow, k: int) -> OrderWindow:
 
 def interval(w: OrderWindow, i: int, j: int) -> list[Element]:
     """Cells in positions i..j (inclusive); empty if i > j."""
-    return list(map(tuple, w.rows(i, j).tolist()))
+    return groups.cell_tuples(w.rows(i, j))
 
 
 def interval_from_set(w: OrderWindow, F, n: int, side: str = "forward") -> set[Element]:
@@ -310,12 +310,8 @@ def interval_from_set(w: OrderWindow, F, n: int, side: str = "forward") -> set[E
         raise InputError(f"n must be >= 0, got {n}")
     out: set[Element] = set()
     for g in F:
-        k = w.index_of(g)
-        if side == "forward":
-            lo_i, hi_i = k, k + n
-        else:
-            lo_i, hi_i = k - n, k
-        out.update(map(tuple, w.rows(lo_i, hi_i).tolist()))
+        k = w.index_of(g) - (n if side == "backward" else 0)
+        out.update(groups.cell_tuples(w.rows(k, k + n)))
     return out
 
 

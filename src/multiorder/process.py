@@ -354,11 +354,13 @@ def sample_codes(spec, cells, m: int, seed) -> np.ndarray:
     k, n = alphabet_size(spec), len(cs)
     if k**n >= 2**62:
         raise BudgetError(f"cannot encode {n}-cell blocks over {k} symbols exactly")
-    weights = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    codes = np.zeros(m, dtype=np.int64)
+    dt = np.min_scalar_type(k**n - 1)  # fold in the code space's smallest dtype
+    weights = (k ** np.arange(n - 1, -1, -1, dtype=np.int64)).astype(dt)
+    codes = np.zeros(m, dtype=dt)
     for idx, block in _draw_blocks(spec, cs, m, seed):
-        codes += np.dot(block, weights[idx])
-    return codes
+        for w, col in zip(np.atleast_1d(weights[idx]), block.reshape(m, -1).T):
+            codes += w * col.astype(dt, copy=False)
+    return codes.astype(np.int64)
 
 
 def symbols_of(spec, indices: np.ndarray) -> list:
@@ -370,7 +372,7 @@ def sample(spec, cells, seed) -> Configuration:
     """One seeded exact draw on the given cells."""
     cs = _check_cells(spec, cells)
     idx = sample_many(spec, cs, 1, seed)[0]
-    return Configuration(tuple(map(tuple, cs.tolist())), tuple(symbols_of(spec, idx)))
+    return Configuration(tuple(groups.cell_tuples(cs)), tuple(symbols_of(spec, idx)))
 
 
 def _entropy_bits(p: np.ndarray) -> float:

@@ -189,16 +189,21 @@ class TilingSystemSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TilingSystemSpec":
-        group = GroupSpec.from_json(obj["group"])
-        max_level = int(obj["max_level"])
-        shapes_by_level = {int(k): {lab: Shape(lab, [groups.decode(group, c) for c in cells])
-                                    for lab, cells in table.items()}
-                           for k, table in obj["shapes"].items()}
-        rules_by_level = {int(k): {lab: _decode_rule(group, lab, children)
-                                   for lab, children in table.items()}
-                          for k, table in obj["rules"].items()}
-        return cls.from_tables(group, obj["name"], shapes_by_level, rules_by_level,
-                               obj["canonical_label"], max_level)
+        try:
+            group = GroupSpec.from_json(obj["group"])
+            max_level = int(obj["max_level"])
+            shapes_by_level = {int(k): {lab: Shape(lab, [groups.decode(group, c) for c in cells])
+                                        for lab, cells in table.items()}
+                               for k, table in obj["shapes"].items()}
+            rules_by_level = {int(k): {lab: _decode_rule(group, lab, children)
+                                       for lab, children in table.items()}
+                              for k, table in obj["rules"].items()}
+            return cls.from_tables(group, obj["name"], shapes_by_level, rules_by_level,
+                                   obj["canonical_label"], max_level)
+        except InputError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed tiling JSON: {type(exc).__name__}: {exc}") from None
 
 
 def _decode_rule(group: GroupSpec, label: str, children) -> SubstitutionRule:

@@ -57,11 +57,16 @@ def pack_rows(arr: np.ndarray):
     return codes
 
 
-def count_distinct_rows(arr: np.ndarray) -> int:
-    """Distinct rows of an integer array: packed codes, sorted and compared
-    with their neighbours (np.unique hashes int64 input on numpy 2.4, slower)."""
+def row_codes(arr: np.ndarray) -> np.ndarray:
+    """Int64 codes below 2^62, equal exactly when rows are (packed, else np.unique's inverse)."""
     codes = pack_rows(arr)
     if codes is None:
-        return np.unique(np.asarray(arr, dtype=np.int64), axis=0).shape[0]
-    codes = np.sort(codes)
-    return 1 + int(np.count_nonzero(codes[1:] != codes[:-1]))
+        codes = np.unique(np.asarray(arr, dtype=np.int64), axis=0, return_inverse=True)[1]
+    return codes.reshape(-1)
+
+
+def count_distinct_rows(arr: np.ndarray) -> int:
+    """Distinct rows of an integer array: row codes, sorted and compared
+    with their neighbours (np.unique hashes int64 input on numpy 2.4, slower)."""
+    codes = np.sort(row_codes(arr))
+    return int(codes.size > 0) + int(np.count_nonzero(codes[1:] != codes[:-1]))

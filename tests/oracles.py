@@ -9,6 +9,7 @@ library is a real cross-check.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -260,3 +261,42 @@ def mutual_information(samples: np.ndarray, k: int, bias: str) -> float:
     if bias == "miller_madow":
         mi += (kt + kb - kj - 1) / (2.0 * m * math.log(2.0))
     return mi
+
+
+class InputError(ValueError):
+    """Stands in for the package's InputError: compared by name and message."""
+
+
+class DimensionMismatchError(InputError):
+    """Stands in for the package's DimensionMismatchError."""
+
+
+def element(d: int, value) -> tuple:
+    """The per-cell reference for groups.element: a bare int (d = 1) or an
+    int sequence as a tuple of Python ints; bools, floats and strings are
+    rejected."""
+    if isinstance(value, (str, bytes)):
+        raise InputError(f"cannot interpret {value!r} as a group element")
+    bare = not hasattr(value, "__iter__")
+    try:
+        vals = (value,) if bare else tuple(value)
+        if bool in map(type, vals):
+            raise TypeError
+        out = tuple(map(operator.index, vals))
+    except TypeError:
+        raise InputError(f"group element {value!r} must contain only ints") from None
+    if len(out) != d:
+        if bare:
+            raise DimensionMismatchError(f"bare int {value} in dimension {d}")
+        raise DimensionMismatchError(f"element {out} has length {len(out)}, group dimension is {d}")
+    return out
+
+
+def as_cell_array(d: int, cells) -> np.ndarray:
+    """The per-cell reference for groups.as_cell_array on anything but an
+    int64 2-d array: every cell through ``element``, then one np.array."""
+    rows = [element(d, c) for c in cells]
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), d)
+    except OverflowError:
+        raise InputError("cell coordinates must fit in int64") from None

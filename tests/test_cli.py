@@ -341,3 +341,13 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, case):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config/input error: ")
+
+
+def test_importing_cli_leaves_jsonschema_unloaded():
+    src_dir = str(Path(multiorder.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src_dir] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    code = "import sys, multiorder.cli; print('jsonschema' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

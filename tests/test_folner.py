@@ -83,6 +83,28 @@ def test_ratio_same_for_tuple_and_array_input(case):
     assert got == set_ratio(tuples_f, tuples_k)
 
 
+@pytest.mark.parametrize("case", ["repeated_k", "f_outside_kf", "d3_spread_2_40"])
+def test_one_sort_ratio_matches_set_oracle(case):
+    rng = np.random.default_rng(31)
+    d = 3 if case == "d3_spread_2_40" else 2
+    F = rng.integers(-5, 5, size=(40, d))
+    if case == "repeated_k":
+        K = np.array([[1, 0], [1, 0], [0, 0], [0, -1], [0, -1], [1, 0]])
+    elif case == "f_outside_kf":
+        # no identity in K and a far shift: part of F lies outside KF
+        K = np.array([[7, 0], [0, 3]])
+        kf = set(map(tuple, (F[None] + K[:, None]).reshape(-1, d).tolist()))
+        assert not set(map(tuple, F.tolist())) <= kf
+    else:
+        F = np.concatenate([F, F + 2**40, F - [2**40, 0, 2**40]])
+        K = np.array([[0, 0, 0], [1, 0, 0], [0, -1, 0], [2**40, 0, -2**40], [1, 0, 0]])
+        assert util.pack_rows(np.concatenate([F, F + K[3]])) is None
+    spec = GroupSpec.grid(d)
+    got = folner.invariance_ratio(spec, F.astype(np.int64), K.astype(np.int64))
+    assert got == set_ratio(F.tolist(), K.tolist())
+    assert got == folner.invariance_ratio(spec, F.tolist(), list(map(tuple, K.tolist())))
+
+
 def test_ratio_rejects_products_outside_int64():
     top, bottom = 2**63 - 1, -2**63
     with pytest.raises(InputError):

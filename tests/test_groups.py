@@ -2,8 +2,11 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multiorder import groups
+import oracles
+from multiorder import folner, groups, orders, process, tiling
 from multiorder.errors import DimensionMismatchError, InputError
 from multiorder.groups import GroupSpec
 
@@ -105,3 +108,91 @@ def test_as_cell_array_coerces_and_passes_arrays_through():
         groups.as_cell_array(spec, [(1, 2.5)])
     with pytest.raises(InputError):
         groups.as_cell_array(spec, [(2**70, 0)])
+
+
+_scalars = st.one_of(
+    st.integers(-2**63, 2**63 - 1),
+    st.integers(-2**63, 2**63 - 1),  # twice: most cells should be valid
+    st.integers(2**63, 2**70),
+    st.integers(-2**70, -2**63 - 1),
+    st.builds(np.int64, st.integers(-2**63, 2**63 - 1)),
+    st.builds(np.int32, st.integers(-2**31, 2**31 - 1)),
+    st.builds(np.uint8, st.integers(0, 255)),
+    st.builds(np.uint64, st.integers(2**63, 2**64 - 1)),
+    st.booleans(),
+    st.builds(np.bool_, st.booleans()),
+    st.floats(),
+    st.text(max_size=2),
+    st.binary(max_size=2),
+    st.none(),
+)
+
+
+def _rows(d):
+    coords = st.lists(_scalars, min_size=d, max_size=d)
+    wrong = st.lists(_scalars, min_size=0, max_size=d + 2)
+    row = st.one_of(coords, coords, wrong)
+    return st.one_of(row.map(tuple), row, _scalars)
+
+
+def _collections(d):
+    # cells hashable enough for a set: tuples of hashable scalars
+    hashable = st.lists(st.lists(_scalars, min_size=d, max_size=d).map(tuple), max_size=6)
+    return st.one_of(
+        st.lists(_rows(d), max_size=6).map(lambda rows: ("list", rows)),
+        st.lists(_rows(d), max_size=6).map(lambda rows: ("tuple", tuple(rows))),
+        st.lists(_rows(d), max_size=6).map(lambda rows: ("generator", rows)),
+        hashable.map(lambda rows: ("set", set(rows))),
+        hashable.map(lambda rows: ("frozenset", frozenset(rows))),
+    )
+
+
+def _outcome(coerce, d, kind, cells):
+    """The array, or the exception's type name and message."""
+    try:
+        arr = coerce(d, iter(cells) if kind == "generator" else cells)
+    except Exception as exc:  # compared by type name: the oracle has its own classes
+        return type(exc).__name__, str(exc)
+    return arr.dtype, arr.shape, arr.tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2, 3]))
+def test_as_cell_array_matches_per_cell_oracle(data, d):
+    kind, cells = data.draw(_collections(d))
+    got = _outcome(lambda d, c: groups.as_cell_array(GroupSpec.grid(d), c), d, kind, cells)
+    assert got == _outcome(oracles.as_cell_array, d, kind, cells)
+
+
+def test_as_cell_array_reads_tuples_without_element(monkeypatch):
+    spec = tiling.builtin("hilbert")
+    w = tiling.expand(tiling.sample_address(spec, 6, 3))
+    F = orders.interval(w, w.lo, w.hi)
+    cross = folner.unit_cross(spec.group)
+    assert len(F) == 4096
+
+    def no_element(spec, value):
+        raise AssertionError("groups.element called")
+
+    monkeypatch.setattr(groups, "element", no_element)
+    assert np.array_equal(groups.as_cell_array(spec.group, F), w.array)
+    assert sorted(groups.as_cell_array(spec.group, cross).tolist()) == sorted(map(list, cross))
+    assert folner.invariance_ratio(spec.group, F, cross) == folner.invariance_ratio(
+        spec.group, w.array, np.array(sorted(cross), dtype=np.int64))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cell_tuples_match_row_tuples(d):
+    rows = np.random.default_rng(d).integers(-2**40, 2**40, size=(37, d))
+    for arr in (rows, rows[:0], rows[5:6]):
+        got = groups.cell_tuples(arr)
+        assert got == list(map(tuple, arr.tolist()))
+        assert all(type(x) is int for cell in got for x in cell)
+    cells = np.arange(12)[:, None] * np.arange(1, d + 1)  # distinct, identity first
+    expected = list(map(tuple, cells.tolist()))
+    w = orders.OrderWindow(GroupSpec.grid(d), 0, 11, cells)
+    assert orders.interval(w, 3, 2) == []
+    assert orders.interval(w, 0, 11) == w.cells() == expected
+    assert orders.interval_from_set(w, cells[:2], 3) == set(expected[:5])
+    bernoulli = process.Bernoulli(GroupSpec.grid(d), (0.5, 0.5))
+    assert process.sample(bernoulli, cells, seed=0).cells == tuple(expected)

@@ -409,7 +409,9 @@ def test_json_round_trip(builtins):
 
 
 @pytest.mark.parametrize("case", ["missing_shape_table", "missing_rule_table",
-                                  "max_level_above_tables", "rule_child_not_a_pair"])
+                                  "max_level_above_tables", "rule_child_not_a_pair",
+                                  "missing_top_level_key", "level_key_not_an_int",
+                                  "level_table_not_an_object"])
 def test_from_json_rejects_malformed_tables(builtins, case):
     blob = json.loads(json.dumps(builtins["hilbert"].to_json(3)))
     if case == "missing_shape_table":
@@ -418,8 +420,14 @@ def test_from_json_rejects_malformed_tables(builtins, case):
         del blob["rules"]["2"]
     elif case == "max_level_above_tables":
         blob["max_level"] = 4
-    else:
+    elif case == "rule_child_not_a_pair":
         blob["rules"]["2"]["U"][0] = ["L"]
+    elif case == "missing_top_level_key":
+        del blob["rules"]
+    elif case == "level_key_not_an_int":
+        blob["shapes"]["x"] = blob["shapes"]["3"]
+    else:
+        blob["rules"]["2"] = [1, 2]
     with pytest.raises(InputError):
         TilingSystemSpec.from_json(blob)
 
