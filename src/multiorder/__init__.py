@@ -24,7 +24,6 @@ from .orders import (
     from_increments,
     iid_order,
     interval,
-    interval_from_set,
     succ,
     to_increments,
 )

@@ -103,7 +103,8 @@ def _cmd_order_convert(args) -> int:
     elif form == "window" and target == "increments":
         out = orders.to_increments(src)
     elif form == "window" and target == "ranking":
-        out = orders.OrderRanking(src.group, {c: r for r, c in enumerate(src.cells())})
+        cells = orders.interval(src, src.lo, src.hi)
+        out = orders.OrderRanking(src.group, {c: r for r, c in enumerate(cells)})
     else:
         raise InputError(f"cannot convert {form} to {target}")
     _write_text(_dump_json(out.to_json()), args.output)
@@ -121,9 +122,9 @@ def _cmd_tiling_dump(args) -> int:
     spec = tiling.builtin(args.name)
     label = args.shape or spec.canonical_label
     curve = spec.curve(args.level, label)
-    header = ["rank"] + [f"x{i}" if spec.group.d > 1 else "x" for i in range(spec.group.d)]
-    if spec.group.d == 2:
-        header = ["rank", "x", "y"]
+    d = spec.group.d
+    coords = ["x"] if d == 1 else ["x", "y"] if d == 2 else [f"x{i}" for i in range(d)]
+    header = ["rank"] + coords
     rows = [[r] + [int(v) for v in row] for r, row in enumerate(curve)]
     _write_text(_csv_text(header, rows), args.output)
     return EXIT_OK

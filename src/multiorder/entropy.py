@@ -15,6 +15,11 @@ averages the per-order estimates; the reported standard error is the
 across-order standard deviation divided by sqrt(orders).  Reports carry the
 sampling truncations, the bias mode, and an undersampling flag raised
 whenever M < 10 * |alphabet|**(block length).
+
+Windows and blocks of cells are int64 arrays throughout.  A ``Frame`` holds
+a window and its symbols in window order; its ``config`` view lists the
+cells as tuples only for callers that look symbols up by element, such as
+perfbench's ``successor_run`` workload.
 """
 
 from __future__ import annotations
@@ -253,7 +258,7 @@ def mc_integral(proc, spec: tiling.TilingSystemSpec, j: int, n_orders: int,
     return _report(proc, est, se, m, j, bias, orders=n_orders, resamples=resamples)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Frame:
     """A configuration laid out on a window: the window and its symbols in
     window order; ``config`` pairs them with the cells on access."""
@@ -261,28 +266,20 @@ class Frame:
     window: OrderWindow
     symbols: tuple
 
-    def __init__(self, config: Configuration, window: OrderWindow):
-        if config.cells != tuple(window.cells()):
-            raise InputError("frame configuration must list the window cells in order")
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "symbols", config.symbols)
-
-    @classmethod
-    def _trusted(cls, window: OrderWindow, symbols: tuple) -> "Frame":
-        frame = object.__new__(cls)
-        object.__setattr__(frame, "window", window)
-        object.__setattr__(frame, "symbols", symbols)
-        return frame
+    def __post_init__(self):
+        if len(self.symbols) != len(self.window):
+            raise InputError(f"frame needs one symbol per window cell: "
+                             f"{len(self.symbols)} symbols, {len(self.window)} cells")
 
     @property
     def config(self) -> Configuration:
-        return Configuration(tuple(self.window.cells()), self.symbols)
+        return Configuration(tuple(groups.cell_tuples(self.window.array)), self.symbols)
 
 
 def make_frame(proc, w: OrderWindow, seed) -> Frame:
     _check_inputs(proc, w.group)
     idx = process.sample_many(proc, w.array, 1, seed)[0]
-    return Frame._trusted(w, tuple(process.symbols_of(proc, idx)))
+    return Frame(w, tuple(process.symbols_of(proc, idx)))
 
 
 def successor_step(frame: Frame, k: int) -> Frame:
@@ -296,7 +293,7 @@ def successor_step(frame: Frame, k: int) -> Frame:
     w = frame.window
     if k < w.lo or k > w.hi:
         raise OutOfWindowError(f"position {k} outside window [{w.lo}, {w.hi}]")
-    return Frame._trusted(orders._shift(w, k), frame.symbols)
+    return Frame(orders._shift(w, k), frame.symbols)
 
 
 @dataclass(frozen=True)

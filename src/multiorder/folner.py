@@ -1,8 +1,9 @@
 """Exact invariance audits of order intervals.
 
-Cell sets are (n, d) int64 arrays (tuple collections are coerced in bulk by
-``groups.as_cell_array``), set sizes are distinct-row counts (one sort of
-row codes per ratio), and all ratios are exact ``fractions.Fraction`` values.
+Cell sets are (n, d) int64 arrays, ``unit_cross`` included (tuple
+collections are coerced in bulk by ``groups.as_cell_array``), set sizes
+are distinct-row counts (one sort of row codes per ratio), and all ratios
+are exact ``fractions.Fraction`` values.
 Two length conventions coexist and are documented per function:
 ``audit_intervals`` takes the position span n of the interval [0, n] (n+1
 cells), while ``uniform_audit`` and the full-tile helpers take cell counts
@@ -16,23 +17,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import groups, orders, tiling
+from . import groups, tiling
 from .errors import InputError, OutOfWindowError
 from .groups import GroupSpec
 from .orders import OrderWindow
 from .util import count_distinct_rows, row_codes, spawn_seeds
 
 
-def unit_cross(spec: GroupSpec) -> frozenset:
-    """The identity together with the 2d unit steps."""
-    e = groups.identity(spec)
-    out = {e}
-    for axis in range(spec.d):
-        for sign in (1, -1):
-            step = [0] * spec.d
-            step[axis] = sign
-            out.add(tuple(step))
-    return frozenset(out)
+def unit_cross(spec: GroupSpec) -> np.ndarray:
+    """The identity, then the d unit steps +e_i, then -e_i: read-only
+    (2d+1, d) rows."""
+    eye = np.eye(spec.d, dtype=np.int64)
+    return groups.read_only(np.concatenate([np.zeros_like(eye[:1]), eye, -eye]))
 
 
 def invariance_ratio(spec: GroupSpec, F, K) -> Fraction:
@@ -179,9 +175,25 @@ def uniform_audit(spec: tiling.TilingSystemSpec, K, epsilon, candidates,
 
 
 def interval_growth(w: OrderWindow, F, n: int, side: str = "forward") -> Fraction:
-    """|[F, F+n]| / |F| (or the backward analogue), exactly."""
+    """|[F, F+n]| / |F| (or the backward analogue), exactly.
+
+    Each g in F starts the interval of n+1 positions at k = index_of(g)
+    (less n backward).  Over the sorted distinct starts k_i the union holds
+    (n+1) + sum of min(k_i - k_(i-1), n+1) cells; no cells are built.
+    """
     Fs = groups.as_cell_array(w.group, F)
     if not len(Fs):
         raise InputError("F must be nonempty")
-    union = orders.interval_from_set(w, Fs, n, side)
-    return Fraction(len(union), count_distinct_rows(Fs))
+    if side not in ("forward", "backward"):
+        raise InputError(f"side must be 'forward' or 'backward', got {side!r}")
+    if n < 0:
+        raise InputError(f"n must be >= 0, got {n}")
+    shift = n if side == "backward" else 0
+    starts = []
+    for g in Fs:
+        k = w.index_of(g) - shift
+        w.rows(k, k + n)  # OutOfWindowError if the interval leaves the window
+        starts.append(k)
+    starts = np.unique(starts)
+    covered = n + 1 + int(np.minimum(np.diff(starts), n + 1).sum())
+    return Fraction(covered, len(starts))

@@ -1,17 +1,19 @@
 """Lattice groups Z^d and finite element sets.
 
-Elements are plain int tuples of length d; the group law is written through
-``compose``/``inverse`` so callers never assume commutativity even though the
-instantiated groups are abelian.  For d = 1 the helpers accept bare ints.
-Cell sets travel between modules as (n, d) int64 arrays: ``as_cell_array``
-builds one (reading int tuples in bulk), ``cell_tuples`` reads one back.
+Single elements are plain int tuples of length d; the group law is written
+through ``compose``/``inverse`` so callers never assume commutativity even
+though the instantiated groups are abelian.  For d = 1 the helpers accept
+bare ints.  Cell sets enter and leave every module as (n, d) int64 arrays
+(``box`` returns one): ``as_cell_array`` builds one from user input (reading
+int tuples in bulk), ``cell_tuples`` reads one back as tuples for the few
+views that still list elements.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain
 
 import numpy as np
 
@@ -109,6 +111,13 @@ def as_cell_array(spec: GroupSpec, cells) -> np.ndarray:
     return flat.reshape(len(rows), spec.d)
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """The cells as a C-contiguous int64 array that cannot be written to."""
+    arr = np.ascontiguousarray(arr, dtype=np.int64)
+    arr.setflags(write=False)
+    return arr
+
+
 def cell_tuples(arr: np.ndarray) -> list[Element]:
     """Rows as int tuples, built column-wise: half the GC-tracked objects of row-wise."""
     return list(zip(*arr.T.tolist()))
@@ -135,12 +144,13 @@ def inverse(spec: GroupSpec, a) -> Element:
     return tuple(-x for x in a)
 
 
-def box(spec: GroupSpec, radius: int) -> frozenset[Element]:
-    """All elements with sup-norm at most radius: (2*radius+1)^d of them."""
+def box(spec: GroupSpec, radius: int) -> np.ndarray:
+    """All elements with sup-norm at most radius: (2*radius+1)^d read-only
+    rows in lexicographic order."""
     if radius < 0:
         raise InputError(f"radius must be >= 0, got {radius}")
-    rng = range(-radius, radius + 1)
-    return frozenset(product(rng, repeat=spec.d))
+    side = 2 * radius + 1
+    return read_only(np.indices((side,) * spec.d, dtype=np.int64).reshape(spec.d, -1).T - radius)
 
 
 def encode(g: Element) -> list[int]:

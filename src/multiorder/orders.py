@@ -10,6 +10,12 @@ sequence (successive differences, which determine the window given the
 anchor), and a plain ranking of a finite cell set.  The group acts on
 windows by translating the anchor along the order: acting by the element in
 position k re-centers the window so that element becomes the new anchor.
+
+Windows and increments hold their cells as one read-only (n, d) int64 array
+(``array``, sliced by ``rows``).  Tuples appear only for single elements
+(``cell``, ``incr``, ``succ``) and in ``interval``, a tuple-list view kept
+for callers that compare lists of elements, such as perfbench's
+``window_audit`` workload.
 """
 
 from __future__ import annotations
@@ -36,54 +42,104 @@ class Comparison(enum.Enum):
     GREATER = 1
 
 
-def _check_count(arr: np.ndarray, n_expected: int) -> np.ndarray:
-    if arr.shape[0] != n_expected:
-        raise InputError(
-            f"window spans {n_expected} positions but {arr.shape[0]} cells given"
-        )
-    return arr
+class _PositionRows:
+    """One read-only (n, d) int64 row per position lo..hi-1+_extra: the
+    shared body of OrderWindow (cells, one per position lo..hi) and
+    IncrementWindow (increments, one per position lo..hi-1).
 
-
-class OrderWindow:
-    """Positions lo..hi of an anchored order, with cell(0) = identity."""
+    Subclasses name their JSON ``form`` and row ``key`` and add their own
+    row checks in ``_check``; rows given as an array with ``_trusted`` skip
+    the coercion and those checks.
+    """
 
     __slots__ = ("group", "lo", "hi", "_arr")
+    _form = _key = ""
+    _extra = 0
 
-    def __init__(self, group: GroupSpec, lo: int, hi: int, cells, *, _trusted=False):
+    def __init__(self, group: GroupSpec, lo: int, hi: int, rows, *, _trusted=False):
         self.group = group
         self.lo = int(lo)
         self.hi = int(hi)
-        if isinstance(cells, np.ndarray) and _trusted:
-            arr = cells
-        else:
-            if self.lo > 0 or self.hi < 0:
-                raise InputError(f"window [{lo}, {hi}] must contain position 0")
-            arr = _check_count(groups.as_cell_array(group, cells), len(self))
-            if not np.array_equal(arr[-self.lo], np.zeros(group.d, dtype=np.int64)):
+        if self.lo > 0 or self.hi < 0:
+            raise InputError(f"window [{lo}, {hi}] must contain position 0")
+        if not (isinstance(rows, np.ndarray) and _trusted):
+            rows = groups.as_cell_array(group, rows)
+            n_expected = self.hi - self.lo + self._extra
+            if rows.shape[0] != n_expected:
                 raise InputError(
-                    f"cell(0) must be the identity, got {tuple(arr[-self.lo])}"
+                    f"window spans {n_expected} positions but {rows.shape[0]} cells given"
                 )
-            if count_distinct_rows(arr) != arr.shape[0]:
-                raise InputError("window cells must be pairwise distinct")
-        arr = np.ascontiguousarray(arr, dtype=np.int64)
-        arr.setflags(write=False)
-        self._arr = arr
+            self._check(rows)
+        self._arr = groups.read_only(rows)
 
-    def __len__(self) -> int:
-        return self.hi - self.lo + 1
+    def _check(self, rows: np.ndarray) -> None:
+        pass
 
     @property
     def array(self) -> np.ndarray:
-        """Read-only (n, d) array of cells; row r is position lo + r."""
+        """Read-only (n, d) array; row r is position lo + r."""
         return self._arr
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.group == other.group
+            and self.lo == other.lo
+            and self.hi == other.hi
+            and np.array_equal(self._arr, other._arr)
+        )
+
+    def __hash__(self):
+        return hash((self.group, self.lo, self.hi, self._arr.tobytes()))
+
+    def to_json(self) -> dict:
+        return {
+            "form": self._form,
+            "group": self.group.to_json(),
+            "lo": self.lo,
+            "hi": self.hi,
+            self._key: [[self.lo + r, row] for r, row in enumerate(self._arr.tolist())],
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        """Rebuild from JSON whose ``key`` lists [position, element] pairs
+        for exactly lo..hi-1+_extra."""
+        spec = GroupSpec.from_json(obj["group"])
+        lo, hi = int(obj["lo"]), int(obj["hi"])
+        by_pos = {}
+        for i, enc in obj[cls._key]:
+            i = int(i)
+            if i in by_pos:
+                raise InputError(f"duplicate position {i} in {cls.__name__} JSON")
+            by_pos[i] = groups.decode(spec, enc)
+        positions = list(range(lo, hi + cls._extra))
+        if sorted(by_pos) != positions:
+            raise InputError(f"{cls.__name__} JSON {cls._key} must cover exactly "
+                             f"{lo}..{hi - 1 + cls._extra}")
+        return cls(spec, lo, hi, [by_pos[i] for i in positions])
+
+
+class OrderWindow(_PositionRows):
+    """Positions lo..hi of an anchored order, with cell(0) = identity."""
+
+    __slots__ = ()
+    _form, _key, _extra = "window", "cells", 1
+
+    def _check(self, rows: np.ndarray) -> None:
+        if not np.array_equal(rows[-self.lo], np.zeros(self.group.d, dtype=np.int64)):
+            raise InputError(f"cell(0) must be the identity, got {tuple(rows[-self.lo])}")
+        if count_distinct_rows(rows) != rows.shape[0]:
+            raise InputError("window cells must be pairwise distinct")
+
+    def __len__(self) -> int:
+        return self.hi - self.lo + 1
 
     def cell(self, i: int) -> Element:
         if i < self.lo or i > self.hi:
             raise OutOfWindowError(f"position {i} outside window [{self.lo}, {self.hi}]")
         return tuple(int(x) for x in self._arr[i - self.lo])
-
-    def cells(self) -> list[Element]:
-        return groups.cell_tuples(self._arr)
 
     def rows(self, i: int, j: int) -> np.ndarray:
         """Read-only (j-i+1, d) array of the cells in positions i..j; no rows
@@ -111,62 +167,19 @@ class OrderWindow:
         except (OutOfWindowError, DimensionMismatchError):
             return False
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OrderWindow):
-            return NotImplemented
-        return (
-            self.group == other.group
-            and self.lo == other.lo
-            and self.hi == other.hi
-            and np.array_equal(self._arr, other._arr)
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.lo, self.hi, self._arr.tobytes()))
-
     def __repr__(self) -> str:
         return f"OrderWindow(d={self.group.d}, lo={self.lo}, hi={self.hi}, n={len(self)})"
 
-    def to_json(self) -> dict:
-        return {
-            "form": "window",
-            "group": self.group.to_json(),
-            "lo": self.lo,
-            "hi": self.hi,
-            "cells": [[self.lo + r, row] for r, row in enumerate(self._arr.tolist())],
-        }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "OrderWindow":
-        return _positions_from_json(cls, obj, "cells", 1)
-
-
-class IncrementWindow:
+class IncrementWindow(_PositionRows):
     """Successive differences of an order window over positions lo..hi-1.
 
     incr(i) composed with cell(i) gives cell(i+1); the anchor cell(0) = e is
     implicit, so the increments plus the range determine the window.
     """
 
-    __slots__ = ("group", "lo", "hi", "_arr")
-
-    def __init__(self, group: GroupSpec, lo: int, hi: int, incr, *, _trusted=False):
-        self.group = group
-        self.lo = int(lo)
-        self.hi = int(hi)
-        if self.lo > 0 or self.hi < 0:
-            raise InputError(f"window [{lo}, {hi}] must contain position 0")
-        if isinstance(incr, np.ndarray) and _trusted:
-            arr = incr
-        else:
-            arr = _check_count(groups.as_cell_array(group, incr), self.hi - self.lo)
-        arr = np.ascontiguousarray(arr, dtype=np.int64)
-        arr.setflags(write=False)
-        self._arr = arr
-
-    @property
-    def array(self) -> np.ndarray:
-        return self._arr
+    __slots__ = ()
+    _form, _key, _extra = "increments", "incr", 0
 
     def incr(self, i: int) -> Element:
         if i < self.lo or i >= self.hi:
@@ -175,51 +188,8 @@ class IncrementWindow:
             )
         return tuple(int(x) for x in self._arr[i - self.lo])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IncrementWindow):
-            return NotImplemented
-        return (
-            self.group == other.group
-            and self.lo == other.lo
-            and self.hi == other.hi
-            and np.array_equal(self._arr, other._arr)
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.lo, self.hi, self._arr.tobytes()))
-
     def __repr__(self) -> str:
         return f"IncrementWindow(d={self.group.d}, lo={self.lo}, hi={self.hi})"
-
-    def to_json(self) -> dict:
-        return {
-            "form": "increments",
-            "group": self.group.to_json(),
-            "lo": self.lo,
-            "hi": self.hi,
-            "incr": [[self.lo + r, row] for r, row in enumerate(self._arr.tolist())],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "IncrementWindow":
-        return _positions_from_json(cls, obj, "incr", 0)
-
-
-def _positions_from_json(cls, obj: dict, key: str, extra: int):
-    """Build a window (extra = 1) or increments (extra = 0) from JSON whose
-    `key` lists [position, element] pairs for exactly lo..hi-1+extra."""
-    spec = GroupSpec.from_json(obj["group"])
-    lo, hi = int(obj["lo"]), int(obj["hi"])
-    by_pos = {}
-    for i, enc in obj[key]:
-        i = int(i)
-        if i in by_pos:
-            raise InputError(f"duplicate position {i} in {cls.__name__} JSON")
-        by_pos[i] = groups.decode(spec, enc)
-    positions = list(range(lo, hi + extra))
-    if sorted(by_pos) != positions:
-        raise InputError(f"{cls.__name__} JSON {key} must cover exactly {lo}..{hi - 1 + extra}")
-    return cls(spec, lo, hi, [by_pos[i] for i in positions])
 
 
 @dataclass(frozen=True)
@@ -299,20 +269,6 @@ def _shift(w: OrderWindow, k: int) -> OrderWindow:
 def interval(w: OrderWindow, i: int, j: int) -> list[Element]:
     """Cells in positions i..j (inclusive); empty if i > j."""
     return groups.cell_tuples(w.rows(i, j))
-
-
-def interval_from_set(w: OrderWindow, F, n: int, side: str = "forward") -> set[Element]:
-    """Union of the order intervals from each g in F to its n-th successor
-    (side="forward") or from its n-th predecessor to g (side="backward")."""
-    if side not in ("forward", "backward"):
-        raise InputError(f"side must be 'forward' or 'backward', got {side!r}")
-    if n < 0:
-        raise InputError(f"n must be >= 0, got {n}")
-    out: set[Element] = set()
-    for g in F:
-        k = w.index_of(g) - (n if side == "backward" else 0)
-        out.update(groups.cell_tuples(w.rows(k, k + n)))
-    return out
 
 
 def compare(w: OrderWindow, a, b) -> Comparison:

@@ -369,7 +369,11 @@ def symbols_of(spec, indices: np.ndarray) -> list:
 
 
 def sample(spec, cells, seed) -> Configuration:
-    """One seeded exact draw on the given cells."""
+    """One seeded exact draw on the given cells, as a tuple-keyed view.
+
+    Kept because perfbench's tracer wraps ``process.sample`` by name; the
+    package itself draws through ``sample_many``.
+    """
     cs = _check_cells(spec, cells)
     idx = sample_many(spec, cs, 1, seed)[0]
     return Configuration(tuple(groups.cell_tuples(cs)), tuple(symbols_of(spec, idx)))

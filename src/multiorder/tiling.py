@@ -37,7 +37,7 @@ from .errors import InputError, MultiorderError
 from .groups import GroupSpec
 from .orders import OrderWindow
 from .process import choice_cdf, inverse_cdf, stationary_distribution
-from .util import child_seed, make_rng
+from .util import child_seed, make_rng, row_codes
 
 SINGLETON_LABEL = "o"
 
@@ -214,17 +214,16 @@ def _decode_rule(group: GroupSpec, label: str, children) -> SubstitutionRule:
 
 
 def _sorted_runs(rows: np.ndarray):
-    """The permutation sorting the rows lexicographically, the sorted
-    positions where each run of equal rows starts, and the distinct rows
-    in that order, read-only."""
-    order = np.lexsort(rows.T[::-1])  # lexsort's last key is its first
-    ordered = rows[order]
+    """The permutation sorting the rows lexicographically (stable), the
+    sorted positions where each run of equal rows starts, and the distinct
+    rows in that order, read-only.  Row codes sort as their rows do."""
+    codes = row_codes(rows)
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
     fresh = np.ones(len(rows), dtype=bool)
-    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    fresh[1:] = codes[1:] != codes[:-1]
     starts = np.flatnonzero(fresh)
-    distinct = ordered[starts]
-    distinct.setflags(write=False)
-    return order, starts, distinct
+    return order, starts, groups.read_only(rows[order[starts]])
 
 
 class _Walk(NamedTuple):

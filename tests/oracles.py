@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import product
 
 import numpy as np
 
@@ -300,3 +301,36 @@ def as_cell_array(d: int, cells) -> np.ndarray:
         return np.array(rows, dtype=np.int64).reshape(len(rows), d)
     except OverflowError:
         raise InputError("cell coordinates must fit in int64") from None
+
+
+def box(d: int, radius: int) -> frozenset:
+    """The reference for groups.box: every int d-tuple of sup-norm at most
+    radius, as a set."""
+    rng = range(-radius, radius + 1)
+    return frozenset(product(rng, repeat=d))
+
+
+def unit_cross(d: int) -> frozenset:
+    """The reference for folner.unit_cross: the identity and the 2d unit
+    steps, as a set."""
+    out = {(0,) * d}
+    for axis in range(d):
+        for sign in (1, -1):
+            step = [0] * d
+            step[axis] = sign
+            out.add(tuple(step))
+    return frozenset(out)
+
+
+def interval_from_set(cells, lo: int, F, n: int, side: str = "forward") -> set:
+    """The set-building reference for the union folner.interval_growth
+    counts.  cells lists a window's cells as tuples for positions lo, lo+1,
+    ...; the union runs over the intervals from each g in F to its n-th
+    successor (forward) or from its n-th predecessor to g (backward), all
+    assumed inside the window."""
+    pos = {c: lo + r for r, c in enumerate(cells)}
+    out = set()
+    for g in F:
+        k = pos[tuple(g)] - (n if side == "backward" else 0)
+        out.update(cells[k - lo : k - lo + n + 1])
+    return out

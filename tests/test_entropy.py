@@ -199,11 +199,13 @@ def test_successor_step_moves_anchor():
 
 
 def test_frame_validation():
-    chain = flip_chain()
     w = natural_window(-1, 1)
-    cfg = process.sample(chain, [(1,), (0,), (-1,)], seed=0)
-    with pytest.raises(InputError):
-        Frame(cfg, w)
+    frame = Frame(w, (0, 1, 1))
+    assert frame.config.cells == ((-1,), (0,), (1,))
+    assert frame.config[(1,)] == 1
+    for symbols in [(0, 1), (0, 1, 1, 0), ()]:
+        with pytest.raises(InputError):
+            Frame(w, symbols)
 
 
 
@@ -239,7 +241,8 @@ def test_successor_step_equals_act_by_cell():
     for k in rng.integers(w.lo, w.hi + 1, size=12):
         k = int(k)
         moved = orders.act(w, w.cell(k))
-        expected = process.Configuration(tuple(moved.cells()), frame.config.symbols)
+        expected = process.Configuration(tuple(orders.interval(moved, moved.lo, moved.hi)),
+                                         frame.config.symbols)
         stepped = successor_step(frame, k)
         assert stepped.window == moved
         assert stepped.config == expected

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from multiorder import folner, orders, tiling, util
+from multiorder import folner, groups, orders, tiling, util
 from multiorder.errors import InputError, OutOfWindowError
 from multiorder.groups import GroupSpec
 from multiorder.orders import OrderWindow
@@ -25,8 +26,9 @@ def square(k):
 
 
 def test_unit_cross():
-    assert folner.unit_cross(LINE) == {(-1,), (0,), (1,)}
-    assert folner.unit_cross(GRID) == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
+    assert set(groups.cell_tuples(folner.unit_cross(LINE))) == {(-1,), (0,), (1,)}
+    assert set(groups.cell_tuples(folner.unit_cross(GRID))) == {
+        (0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
 
 
 @pytest.mark.parametrize("n", [0, 1, 4, 9])
@@ -235,6 +237,46 @@ def test_interval_growth_of_full_tiles(builtins):
         fwd = folner.interval_growth(w, F, n, "forward")
         bwd = folner.interval_growth(w, F, n, "backward")
         assert fwd == bwd == Fraction(size + n, size)
+
+
+@functools.lru_cache(maxsize=None)
+def growth_window(name, seed):
+    spec = tiling.builtin(name)
+    return tiling.expand(tiling.sample_address(spec, 4 if name == "hilbert" else 8, seed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), name=st.sampled_from(["dyadic_standard", "dyadic_alternating", "hilbert"]),
+       seed=st.integers(0, 5), n=st.integers(0, 40), side=st.sampled_from(["forward", "backward"]))
+def test_interval_growth_matches_oracle_union(data, name, seed, n, side):
+    w = growth_window(name, seed)
+    lo, hi = (w.lo, w.hi - n) if side == "forward" else (w.lo + n, w.hi)
+    picks = data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=30))  # repeats allowed
+    F = [w.cell(i) for i in picks]
+    union = oracles.interval_from_set(orders.interval(w, w.lo, w.hi), w.lo, F, n, side)
+    expected = Fraction(len(union), len(set(F)))
+    assert folner.interval_growth(w, F, n, side) == expected
+    assert folner.interval_growth(w, w.array[np.array(picks) - w.lo], n, side) == expected
+
+
+def test_interval_growth_rejects_bad_input():
+    # cells 1, 0, 3, 2 in positions -1..2
+    w = tiling.expand(tiling.Address(tiling.builtin("dyadic_alternating"), 2, "I", (1, 2)))
+    assert folner.interval_growth(w, [(1,), (0,)], 1, "forward") == Fraction(3, 2)
+    assert folner.interval_growth(w, [(3,)], 2, "backward") == Fraction(3, 1)
+    with pytest.raises(InputError):
+        folner.interval_growth(w, [], 1)
+    with pytest.raises(InputError):
+        folner.interval_growth(w, [(0,)], 1, "sideways")
+    with pytest.raises(InputError):
+        folner.interval_growth(w, [(0,)], -1)
+    # the first g in F's order that is outside, or whose range leaves, names the error
+    with pytest.raises(OutOfWindowError, match=r"element \(9,\) not in window"):
+        folner.interval_growth(w, [(0,), (9,), (2,)], 1, "forward")
+    with pytest.raises(OutOfWindowError, match=r"interval \[2, 3\] outside"):
+        folner.interval_growth(w, [(0,), (2,), (9,)], 1, "forward")
+    with pytest.raises(OutOfWindowError, match=r"interval \[-2, 0\] outside"):
+        folner.interval_growth(w, [(0,)], 2, "backward")
 
 
 def test_uniform_audit_standard_threshold(builtins):

@@ -14,8 +14,8 @@ from multiorder.groups import GroupSpec
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_group_axioms_exhaustive_on_box2(d):
     spec = GroupSpec.grid(d)
-    elems = sorted(groups.box(spec, 2))
-    assert len(elems) == 5**d
+    elems = groups.cell_tuples(groups.box(spec, 2))
+    assert elems == sorted(oracles.box(d, 2))
     e = groups.identity(spec)
     for a in elems:
         assert groups.compose(spec, a, e) == a
@@ -46,13 +46,29 @@ def test_line_accepts_bare_ints():
 @pytest.mark.parametrize("d", [1, 2])
 def test_encoding_round_trip_on_box8(d):
     spec = GroupSpec.grid(d)
-    for g in groups.box(spec, 8):
+    for g in groups.cell_tuples(groups.box(spec, 8)):
         assert groups.decode(spec, groups.encode(g)) == g
 
 
 def test_box_sizes():
     assert len(groups.box(GroupSpec.line(), 3)) == 7
     assert len(groups.box(GroupSpec.grid(2), 3)) == 49
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_box_and_unit_cross_are_read_only_arrays(d):
+    spec = GroupSpec.grid(d)
+    cases = [(groups.box(spec, r), oracles.box(d, r)) for r in (0, 1, 2)]
+    cases.append((folner.unit_cross(spec), oracles.unit_cross(d)))
+    for arr, oracle in cases:
+        assert arr.dtype == np.int64 and arr.shape == (len(oracle), d)
+        assert not arr.flags.writeable
+        assert set(groups.cell_tuples(arr)) == oracle
+    # box rows are lexicographic; the cross is e, then +e_i, then -e_i
+    assert groups.cell_tuples(groups.box(spec, 2)) == sorted(oracles.box(d, 2))
+    eye = np.eye(d, dtype=np.int64)
+    expected = np.concatenate([np.zeros((1, d), dtype=np.int64), eye, -eye])
+    assert np.array_equal(folner.unit_cross(spec), expected)
 
 
 def test_spec_json_round_trip():
@@ -168,7 +184,7 @@ def test_as_cell_array_reads_tuples_without_element(monkeypatch):
     spec = tiling.builtin("hilbert")
     w = tiling.expand(tiling.sample_address(spec, 6, 3))
     F = orders.interval(w, w.lo, w.hi)
-    cross = folner.unit_cross(spec.group)
+    cross = oracles.unit_cross(2)  # a frozenset of tuples
     assert len(F) == 4096
 
     def no_element(spec, value):
@@ -178,7 +194,7 @@ def test_as_cell_array_reads_tuples_without_element(monkeypatch):
     assert np.array_equal(groups.as_cell_array(spec.group, F), w.array)
     assert sorted(groups.as_cell_array(spec.group, cross).tolist()) == sorted(map(list, cross))
     assert folner.invariance_ratio(spec.group, F, cross) == folner.invariance_ratio(
-        spec.group, w.array, np.array(sorted(cross), dtype=np.int64))
+        spec.group, w.array, folner.unit_cross(spec.group))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -192,7 +208,6 @@ def test_cell_tuples_match_row_tuples(d):
     expected = list(map(tuple, cells.tolist()))
     w = orders.OrderWindow(GroupSpec.grid(d), 0, 11, cells)
     assert orders.interval(w, 3, 2) == []
-    assert orders.interval(w, 0, 11) == w.cells() == expected
-    assert orders.interval_from_set(w, cells[:2], 3) == set(expected[:5])
+    assert orders.interval(w, 0, 11) == expected
     bernoulli = process.Bernoulli(GroupSpec.grid(d), (0.5, 0.5))
     assert process.sample(bernoulli, cells, seed=0).cells == tuple(expected)

@@ -40,7 +40,7 @@ def test_window_validation():
 
 def test_succ_and_compare_on_alternating_example():
     w = alternating_window()
-    assert w.cells() == [(1,), (0,), (3,), (2,)]
+    assert orders.interval(w, w.lo, w.hi) == [(1,), (0,), (3,), (2,)]
     assert orders.succ(w, (0,)) == (3,)
     assert orders.succ(w, (1,)) == (0,)
     assert orders.compare(w, (1,), (0,)) is Comparison.LESS
@@ -65,7 +65,7 @@ def test_increments_of_alternating_example():
 def test_from_increments_anchors_at_identity():
     iw = IncrementWindow(LINE, 0, 2, [(3,), (-1,)])
     w = orders.from_increments(iw)
-    assert w.cells() == [(0,), (3,), (2,)]
+    assert orders.interval(w, w.lo, w.hi) == [(0,), (3,), (2,)]
     assert w.cell(0) == (0,)
 
 
@@ -192,34 +192,13 @@ def test_inverse_of_successor_is_not_predecessor_in_general():
     assert found
 
 
-def test_interval_and_interval_from_set():
+def test_interval():
     w = alternating_window()
     assert orders.interval(w, -1, 2) == [(1,), (0,), (3,), (2,)]
     assert orders.interval(w, 0, 0) == [(0,)]
     assert orders.interval(w, 1, 0) == []
     with pytest.raises(OutOfWindowError):
         orders.interval(w, -2, 0)
-    got = orders.interval_from_set(w, [(1,), (0,)], 1, "forward")
-    assert got == {(1,), (0,), (3,)}
-    got = orders.interval_from_set(w, [(3,)], 2, "backward")
-    assert got == {(1,), (0,), (3,)}
-    with pytest.raises(OutOfWindowError):
-        orders.interval_from_set(w, [(2,)], 1, "forward")
-    with pytest.raises(InputError):
-        orders.interval_from_set(w, [(0,)], 1, "sideways")
-
-
-def test_interval_from_set_matches_brute_union():
-    for w in sampled_windows("hilbert", 4, 5, seed=77):
-        cells = w.cells()
-        rng = np.random.default_rng(3)
-        picks = [cells[i] for i in rng.integers(40, len(cells) - 40, size=12)]
-        n = 7
-        brute = set()
-        for g in picks:
-            k = cells.index(g)
-            brute.update(cells[k : k + n + 1])
-        assert orders.interval_from_set(w, picks, n, "forward") == brute
 
 
 def test_iid_order_deterministic_and_uniform():
@@ -242,6 +221,7 @@ def test_json_round_trips():
     assert OrderWindow.from_json(w.to_json()) == w
     iw = orders.to_increments(w)
     assert IncrementWindow.from_json(iw.to_json()) == iw
+    assert w != iw and iw != w
     r = orders.iid_order(GRID, groups.box(GRID, 1), seed=9)
     assert orders.OrderRanking.from_json(r.to_json()) == r
 

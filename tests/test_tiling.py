@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from multiorder import tiling
+from multiorder import orders, tiling
 from multiorder.errors import InputError, MultiorderError
 from multiorder.groups import GroupSpec
 from multiorder.tiling import Address, Shape, SubstitutionRule, TilingSystemSpec
@@ -69,14 +69,14 @@ def test_hilbert_level4_matches_golden_file(builtins, data_dir):
 def test_level2_expansion_example(builtins):
     w = tiling.expand(Address(builtins["dyadic_alternating"], 2, "I", (1, 2)))
     assert (w.lo, w.hi) == (-1, 2)
-    assert w.cells() == [(1,), (0,), (3,), (2,)]
+    assert orders.interval(w, w.lo, w.hi) == [(1,), (0,), (3,), (2,)]
 
 
 def test_standard_expansion_is_the_natural_order(builtins):
     spec = builtins["dyadic_standard"]
     for digits in [(1, 1, 1), (2, 1, 2), (2, 2, 2), (1, 2, 1)]:
         w = tiling.expand(Address(spec, 3, "I", digits))
-        assert w.cells() == [(i,) for i in range(w.lo, w.hi + 1)]
+        assert orders.interval(w, w.lo, w.hi) == [(i,) for i in range(w.lo, w.hi + 1)]
         rank = sum((d - 1) << k for k, d in enumerate(reversed(digits)))
         assert w.lo == -rank
 
@@ -108,7 +108,8 @@ def test_anchor_rank_counts_unequal_children():
     for digits, rank in [((1, 1), 0), ((1, 2), 1), ((2, 1), 2)]:
         addr = Address(spec, 2, "A", digits)
         assert tiling.anchor_rank(addr) == rank
-        assert tiling.expand(addr).cells() == [(c - rank,) for c in range(3)]
+        w = tiling.expand(addr)
+        assert orders.interval(w, w.lo, w.hi) == [(c - rank,) for c in range(3)]
 
 
 def test_central_tile_translation_and_nesting(builtins):
