@@ -49,15 +49,30 @@ class GroupSpec:
             raise InputError(f"not a group spec: {obj!r}")
         kind = obj["kind"]
         if kind == "int_line":
-            d = obj.get("d", 1)
-            if d != 1:
+            if exact_int(obj.get("d", 1), "group dimension d") != 1:
                 raise InputError("int_line requires d = 1")
             return cls(1)
         if kind == "int_grid":
             if "d" not in obj:
                 raise InputError("int_grid requires a dimension field d")
-            return cls(int(obj["d"]))
+            return cls(exact_int(obj["d"], "group dimension d"))
         raise InputError(f"unknown group kind {kind!r}")
+
+
+def _index(x) -> int:
+    """x as an int for Python and numpy integers; TypeError for the rest (bools too)."""
+    if type(x) is bool:
+        raise TypeError
+    return operator.index(x)
+
+
+def exact_int(value, what: str) -> int:
+    """An integer JSON field, read with the check ``element`` applies to
+    coordinates: InputError instead of truncating 1.7 or reading true as 1."""
+    try:
+        return _index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an int, got {value!r}") from None
 
 
 def identity(spec: GroupSpec) -> Element:
@@ -73,10 +88,7 @@ def element(spec: GroupSpec, value) -> Element:
         raise InputError(f"cannot interpret {value!r} as a group element")
     bare = not hasattr(value, "__iter__")
     try:
-        vals = (value,) if bare else tuple(value)
-        if bool in map(type, vals):
-            raise TypeError
-        out = tuple(map(operator.index, vals))
+        out = tuple(map(_index, (value,) if bare else value))
     except TypeError:
         raise InputError(f"group element {value!r} must contain only ints") from None
     if len(out) != spec.d:
@@ -130,6 +142,17 @@ def add_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             or int(a.max(initial=0)) + int(b.max(initial=0)) >= 2**63):
         raise InputError("sums of cell coordinates must fit in int64")
     return a + b
+
+
+def translate(rows: np.ndarray, g, out: np.ndarray = None) -> np.ndarray:
+    """rows - g for an (n, d) int64 cell array and one cell g (every cell
+    times g^-1), into out (a new array by default; rows itself is safe, g
+    may be one of its rows), one column at a time: a broadcast row
+    subtraction runs numpy's inner loop over only d entries per row."""
+    out = np.empty_like(rows) if out is None else out
+    for c, x in enumerate(np.asarray(g).tolist()):
+        np.subtract(rows[:, c], x, out=out[:, c])
+    return out
 
 
 def compose(spec: GroupSpec, a, b) -> Element:

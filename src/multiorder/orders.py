@@ -107,10 +107,10 @@ class _PositionRows:
         """Rebuild from JSON whose ``key`` lists [position, element] pairs
         for exactly lo..hi-1+_extra."""
         spec = GroupSpec.from_json(obj["group"])
-        lo, hi = int(obj["lo"]), int(obj["hi"])
+        lo, hi = groups.exact_int(obj["lo"], "lo"), groups.exact_int(obj["hi"], "hi")
         by_pos = {}
         for i, enc in obj[cls._key]:
-            i = int(i)
+            i = groups.exact_int(i, "position")
             if i in by_pos:
                 raise InputError(f"duplicate position {i} in {cls.__name__} JSON")
             by_pos[i] = groups.decode(spec, enc)
@@ -217,7 +217,7 @@ class OrderRanking:
     @classmethod
     def from_json(cls, obj: dict) -> "OrderRanking":
         spec = GroupSpec.from_json(obj["group"])
-        ranks = {groups.decode(spec, enc): int(r) for enc, r in obj["cells"]}
+        ranks = {groups.decode(spec, enc): groups.exact_int(r, "rank") for enc, r in obj["cells"]}
         return cls(spec, ranks)
 
 
@@ -243,7 +243,7 @@ def from_increments(iw: IncrementWindow) -> OrderWindow:
     cells = np.zeros((n, iw.group.d), dtype=np.int64)
     if n > 1:
         np.cumsum(iw.array, axis=0, out=cells[1:])
-        cells -= cells[-iw.lo]
+        groups.translate(cells, cells[-iw.lo], out=cells)
     if count_distinct_rows(cells) != n:
         raise InvalidIncrementsError("increments revisit a cell; order not injective")
     return OrderWindow(iw.group, iw.lo, iw.hi, cells, _trusted=True)
@@ -262,7 +262,7 @@ def act(w: OrderWindow, g) -> OrderWindow:
 def _shift(w: OrderWindow, k: int) -> OrderWindow:
     if k == 0:
         return w
-    arr = w.array - w.array[k - w.lo]
+    arr = groups.translate(w.array, w.array[k - w.lo])
     return OrderWindow(w.group, w.lo - k, w.hi - k, arr, _trusted=True)
 
 

@@ -24,10 +24,16 @@ a time, in the smallest unsigned dtype that holds the alphabet:
 ``sample_many`` writes the blocks into an (m, n) int64 symbol array;
 ``sample_codes`` folds each block straight into one base-k int64 code per
 draw, so the estimators never build the symbol array.
+
+Exact laws read one law tensor (one axis per cell) for Bernoulli and the
+chain, and the marker patterns of all prod(period) phases (``_markers``,
+shared with the sampler) for the overlay.  ``exact_conditional_entropy``
+covers all three variants at any depth.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product as _cartesian
@@ -41,7 +47,6 @@ from .util import count_distinct_rows, make_rng, spawn_seeds
 
 _PROB_TOL = 1e-12
 _ENUM_BUDGET = 1 << 22
-_MAX_CONDITIONERS = 12
 
 
 def _check_probs(probs) -> tuple:
@@ -145,7 +150,7 @@ class PeriodicOverlay:
         per = self.period
         if isinstance(per, int):
             per = (per,)
-        per = tuple(int(p) for p in per)
+        per = tuple(groups.exact_int(p, "period entry") for p in per)
         if any(p < 1 for p in per) or not per:
             raise InputError(f"period entries must be >= 1: {per}")
         if len(per) != self.base.group.d:
@@ -318,15 +323,25 @@ def _draw_blocks(spec, cs, m: int, seed):
     else:
         phase_seed, base_seed = spawn_seeds(seed, 2)
         rng = make_rng(phase_seed)
-        per = np.asarray(spec.period, dtype=np.int64)
         phases = np.stack(
-            [rng.integers(0, p, size=m, dtype=np.int64) for p in per], axis=1
+            [rng.integers(0, p, size=m, dtype=np.int64) for p in spec.period], axis=1
         )
-        strides = np.cumprod(np.r_[1, per[:0:-1]])[::-1]  # row-major marker index
         count = np.int64(math.prod(spec.period))
         for idx, block in _draw_blocks(spec.base, cs, m, base_seed):
-            marker = ((cs[idx] + phases[:, None, :]) % per) @ strides
-            yield idx, block * count + marker.reshape(block.shape)
+            yield idx, block * count + _markers(spec, cs[idx], phases).reshape(block.shape)
+
+
+def _markers(spec: PeriodicOverlay, cells: np.ndarray, phases=None) -> np.ndarray:
+    """Row-major marker indices, one row per phase and one column per cell
+    (cells an (n, d) array, or one (d,) cell for a single column); phases
+    is an (m, d) array, by default all prod(period) phases in row-major
+    order.  Cells are reduced mod period before the phase is added, so no
+    int64 coordinate overflows."""
+    per = np.asarray(spec.period, dtype=np.int64)
+    if phases is None:
+        phases = np.indices(spec.period).reshape(len(per), -1).T
+    strides = np.cumprod(np.r_[1, per[:0:-1]])[::-1]
+    return ((cells % per + phases[:, None, :]) % per) @ strides
 
 
 def _check_draw(spec, cells, m: int) -> np.ndarray:
@@ -407,11 +422,8 @@ def phase_entropy(spec: PeriodicOverlay) -> float:
 
 
 def _markov_tensor(spec: MarkovLine, sorted_x: np.ndarray) -> np.ndarray:
-    k = len(spec.alphabet)
-    if k ** len(sorted_x) > _ENUM_BUDGET:
-        raise BudgetError(
-            f"exact law over {len(sorted_x)} cells with {k} symbols exceeds budget"
-        )
+    if len(sorted_x) == 0:
+        return np.ones(())
     law = np.asarray(spec.initial)
     P = spec.matrix
     for idx in range(1, len(sorted_x)):
@@ -421,6 +433,23 @@ def _markov_tensor(spec: MarkovLine, sorted_x: np.ndarray) -> np.ndarray:
     return law
 
 
+def _law_tensor(spec, cs: np.ndarray) -> np.ndarray:
+    """Exact joint law of a Bernoulli or MarkovLine process on the cells:
+    one axis per cell, in the given order."""
+    k, n = len(spec.alphabet), len(cs)
+    if k**n > _ENUM_BUDGET:
+        raise BudgetError(f"exact law over {n} cells with {k} symbols exceeds budget")
+    if isinstance(spec, Bernoulli):
+        return functools.reduce(np.multiply.outer, [spec.probs] * n, np.ones(()))
+    order = np.argsort(cs[:, 0])
+    return np.transpose(_markov_tensor(spec, cs[order, 0]), np.argsort(order))
+
+
+def _pattern_entropy(rows: np.ndarray) -> float:
+    """Entropy in bits of the law that gives each row equal weight."""
+    return _entropy_bits(np.unique(rows, axis=0, return_counts=True)[1] / len(rows))
+
+
 def exact_cylinder_law(spec, cells) -> dict:
     """Exact joint law on the given cells: {symbol tuple: probability}.
 
@@ -428,81 +457,44 @@ def exact_cylinder_law(spec, cells) -> dict:
     are omitted.
     """
     cs = _check_cells(spec, cells)
-    n = len(cs)
-    if isinstance(spec, Bernoulli):
-        if len(spec.probs) ** max(n, 1) > _ENUM_BUDGET:
-            raise BudgetError(f"enumeration over {n} cells exceeds budget")
-        out = {}
-        for combo in _cartesian(*(range(len(spec.probs)) for _ in range(n))):
-            p = 1.0
-            for i in combo:
-                p *= spec.probs[i]
-            if p > 0:
-                out[tuple(spec.alphabet[i] for i in combo)] = p
-        return out
-    if isinstance(spec, MarkovLine):
-        order = np.argsort(cs[:, 0])
-        law = _markov_tensor(spec, cs[order, 0])
-        # transpose sorted-axis tensor back to the caller's cell order
-        inv = np.empty(n, dtype=int)
-        inv[order] = np.arange(n)
-        law = np.transpose(law, axes=tuple(inv)) if n > 1 else law
-        out = {}
-        for combo in _cartesian(*(range(len(spec.alphabet)) for _ in range(n))):
-            p = float(law[combo]) if n > 0 else 1.0
-            if p > 0:
-                out[tuple(spec.alphabet[i] for i in combo)] = p
-        return out
+    if isinstance(spec, (Bernoulli, MarkovLine)):
+        law = _law_tensor(spec, cs)
+        hit, alpha = law > 0, spec.alphabet
+        keys = (tuple(alpha[i] for i in key) for key in np.argwhere(hit).tolist())
+        return dict(zip(keys, law[hit].tolist()))
     if isinstance(spec, PeriodicOverlay):
         base_law = exact_cylinder_law(spec.base, cs)
         count = math.prod(spec.period)
         marker_law: dict = {}
-        per = spec.period
-        for phase in _cartesian(*(range(p) for p in per)):
-            key = tuple(
-                spec.marker_alphabet[_marker_index(c, phase, per)] for c in cs
-            )
+        for row in _markers(spec, cs).tolist():
+            key = tuple(spec.marker_alphabet[i] for i in row)
             marker_law[key] = marker_law.get(key, 0.0) + 1.0 / count
-        out = {}
-        for bkey, bp in base_law.items():
-            for mkey, mp in marker_law.items():
-                out[tuple(zip(bkey, mkey))] = out.get(tuple(zip(bkey, mkey)), 0.0) + bp * mp
-        return out
+        return {tuple(zip(bkey, mkey)): bp * mp
+                for bkey, bp in base_law.items() for mkey, mp in marker_law.items()}
     raise InputError(f"unknown process variant {type(spec).__name__}")
 
 
-def _marker_index(cell, phase, period) -> int:
-    idx = 0
-    for x, ph, p in zip(cell, phase, period):
-        idx = idx * p + (int(x) + ph) % p
-    return idx
-
-
 def exact_conditional_entropy(spec, target, conditioners) -> float:
-    """H(symbol at target | symbols on conditioners), exactly, in bits.
+    """H(symbol at target | symbols on conditioners), exactly, in bits, for
+    every variant and any number of conditioner cells.
 
-    Supported for Bernoulli (any group) and MarkovLine; at most 12
-    conditioner cells are enumerated.
+    A MarkovLine reads only the nearest conditioner below and above the
+    target (Markov property); an overlay adds to its base's value the
+    marker term H(M_{S+target}) - H(M_S) over all prod(period) phases.
     """
     conds = _check_cells(spec, conditioners)
     tgt = groups.element(spec.group, target)
-    if len(conds) > _MAX_CONDITIONERS:
-        raise BudgetError(
-            f"{len(conds)} conditioners exceed the enumeration budget of {_MAX_CONDITIONERS}"
-        )
-    in_conds = bool((conds == tgt).all(axis=1).any())
+    if bool((conds == tgt).all(axis=1).any()):
+        return 0.0
     if isinstance(spec, Bernoulli):
-        return 0.0 if in_conds else _entropy_bits(np.asarray(spec.probs))
+        return _entropy_bits(np.asarray(spec.probs))
     if isinstance(spec, MarkovLine):
-        if in_conds:
-            return 0.0
-        cells = np.concatenate([conds, [tgt]])
-        order = np.argsort(cells[:, 0])
-        law = _markov_tensor(spec, cells[order, 0])
-        target_axis = int(np.nonzero(order == len(cells) - 1)[0][0])
-        h_joint = _entropy_bits(law)
-        h_cond = _entropy_bits(law.sum(axis=target_axis))
-        return h_joint - h_cond
-    raise InputError(
-        f"exact conditional entropy not supported for {type(spec).__name__}"
-    )
+        xs, t = conds[:, 0], tgt[0]
+        near = np.r_[t, np.sort(xs[xs < t])[-1:], np.sort(xs[xs > t])[:1]]
+        law = _law_tensor(spec, near.reshape(-1, 1))
+        return _entropy_bits(law) - _entropy_bits(law.sum(axis=0))
+    if isinstance(spec, PeriodicOverlay):
+        markers = _markers(spec, np.concatenate([conds, [tgt]]))
+        return (exact_conditional_entropy(spec.base, tgt, conds)
+                + _pattern_entropy(markers) - _pattern_entropy(markers[:, :-1]))
+    raise InputError(f"unknown process variant {type(spec).__name__}")

@@ -191,7 +191,7 @@ class TilingSystemSpec:
     def from_json(cls, obj: dict) -> "TilingSystemSpec":
         try:
             group = GroupSpec.from_json(obj["group"])
-            max_level = int(obj["max_level"])
+            max_level = groups.exact_int(obj["max_level"], "max_level")
             shapes_by_level = {int(k): {lab: Shape(lab, [groups.decode(group, c) for c in cells])
                                         for lab, cells in table.items()}
                                for k, table in obj["shapes"].items()}
@@ -421,7 +421,7 @@ def expand(addr: Address) -> OrderWindow:
     base = addr.spec.curve(addr.level, addr.top)
     rank = addr._walk.rank
     return OrderWindow(addr.spec.group, -rank, base.shape[0] - 1 - rank,
-                       base - addr._walk.offsets[-1], _trusted=True)
+                       groups.translate(base, addr._walk.offsets[-1]), _trusted=True)
 
 
 def central_tile(addr: Address, k: int):

@@ -295,7 +295,8 @@ AUDIT = ["folner", "audit", "--name", "dyadic_standard", "--level", "6",
     "threads_flag_zero", "threads_flag_negative", "threads_env_zero",
     "threads_env_negative", "audit_epsilon_nan", "audit_epsilon_inf",
     "validate_negative_level", "reducible_chain", "bernoulli_nan_prob",
-    "markov_nan_transition",
+    "markov_nan_transition", "convert_float_fields", "convert_bool_dimension",
+    "convert_bool_ranks",
 ])
 def test_malformed_input_exits_2_without_traceback(tmp_path, case):
     src_dir = str(Path(multiorder.__file__).resolve().parents[1])
@@ -309,6 +310,17 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, case):
     elif case == "convert_window_without_group":
         doc.write_text(json.dumps({"form": "window"}))
         args = ["order", "convert", "--input", str(doc), "--to", "increments"]
+    elif case.startswith("convert_"):
+        # int() would truncate or read each of these as a valid 1-d order
+        doc.write_text(json.dumps({
+            "convert_float_fields": {"form": "window", "group": {"kind": "int_grid", "d": 1.7},
+                                     "lo": -0.5, "hi": 1.2, "cells": [[0.9, [0]], [1, [1]]]},
+            "convert_bool_dimension": {"form": "window", "group": {"kind": "int_grid", "d": True},
+                                       "lo": 0, "hi": 1, "cells": [[0, [0]], [1, [1]]]},
+            "convert_bool_ranks": {"form": "ranking", "group": {"kind": "int_grid", "d": 1},
+                                   "cells": [[[0], False], [[1], True]]},
+        }[case]))
+        args = ["order", "convert", "--input", str(doc), "--to", "ranking"]
     elif case == "audit_non_int_candidate":
         args = AUDIT + ["--candidates", "4,x"]
     elif case == "audit_zero_samples":

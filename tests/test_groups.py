@@ -96,6 +96,23 @@ def test_bad_inputs_rejected():
         GroupSpec.from_json({"kind": "int_line", "d": 3})
 
 
+@pytest.mark.parametrize("kind", ["int_line", "int_grid"])
+@pytest.mark.parametrize("d", [True, 1.0, 1.7, "1", None])
+def test_spec_json_dimension_must_be_an_int(kind, d):
+    with pytest.raises(InputError, match="group dimension d must be an int"):
+        GroupSpec.from_json({"kind": kind, "d": d})
+
+
+def test_translate_subtracts_one_cell_from_every_row():
+    rows = np.array([[3, -1], [0, 4], [7, 7]], dtype=np.int64)
+    want = rows - rows[1]
+    assert np.array_equal(groups.translate(rows, rows[1]), want)
+    assert np.array_equal(groups.translate(rows, (0, 4)), want)
+    # in place, with g one of the rows being overwritten
+    assert groups.translate(rows, rows[1], out=rows) is rows
+    assert np.array_equal(rows, want)
+
+
 @pytest.mark.parametrize("value", ["12", b"12", [1.5, 2], ["a", 1], [True, 0], (1, None), 1.0])
 def test_element_rejects_non_integers(value):
     with pytest.raises(InputError):
@@ -106,6 +123,7 @@ def test_element_accepts_numpy_integers():
     assert groups.element(GroupSpec.grid(2), (np.int64(3), np.int32(-4))) == (3, -4)
     assert groups.element(GroupSpec.grid(2), np.array([5, 6])) == (5, 6)
     assert groups.element(GroupSpec.line(), np.int64(7)) == (7,)
+    assert groups.exact_int(np.int64(2), "d") == 2
     assert all(type(x) is int for x in groups.element(GroupSpec.grid(2), np.array([5, 6])))
 
 

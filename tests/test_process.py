@@ -259,11 +259,57 @@ def test_exact_conditional_entropy_flip_chain():
     assert process.exact_conditional_entropy(chain, (0,), [(0,), (-1,)]) == 0.0
 
 
-def test_conditional_entropy_budget():
+def test_conditional_entropy_reads_the_nearest_conditioner_at_any_depth():
     chain = flip_chain()
-    cells = [(-i,) for i in range(1, 14)]
-    with pytest.raises(BudgetError):
-        process.exact_conditional_entropy(chain, (0,), cells)
+    nearest = process.exact_conditional_entropy(chain, (0,), [(-1,)])
+    assert nearest == pytest.approx(oracles.binary_entropy(0.1), abs=1e-12)
+    for depth in (13, 200):
+        past = [(-i,) for i in range(1, depth + 1)]
+        assert process.exact_conditional_entropy(chain, (0,), past) == nearest
+
+
+def test_overlay_conditional_entropy_adds_no_marker_term_once_the_phase_is_known():
+    chain = flip_chain()
+    overlay = PeriodicOverlay(base=chain, period=(3,))
+    for past in ([(-1,), (-2,)], [(-3,)], [(-i,) for i in range(1, 14)]):
+        got = process.exact_conditional_entropy(overlay, (0,), past)
+        assert got == pytest.approx(
+            process.exact_conditional_entropy(chain, (0,), past), abs=1e-15)
+    # with no conditioner the marker adds the whole phase entropy
+    assert process.exact_conditional_entropy(overlay, (0,), []) == pytest.approx(
+        1.0 + math.log2(3), abs=1e-12)
+
+
+def _law_entropy(spec, cells) -> float:
+    law = process.exact_cylinder_law(spec, cells).values()
+    return math.fsum(-p * math.log2(p) for p in law)
+
+
+CONDITIONAL_PROCESSES = {
+    "bernoulli_line": Bernoulli(LINE, (0.2, 0.0, 0.8)),
+    "bernoulli_grid": Bernoulli(GRID, (0.3, 0.7)),
+    "flip_chain": flip_chain(),
+    "three_chain": MarkovLine(transition=THREE, alphabet=("a", "b", "c")),
+    "overlay_chain": PeriodicOverlay(base=MarkovLine(transition=THREE), period=(3,)),
+    "overlay_grid": PeriodicOverlay(base=Bernoulli(GRID, (0.3, 0.7)), period=(2, 3)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CONDITIONAL_PROCESSES)),
+    data=st.data(),
+)
+def test_conditional_entropy_matches_the_difference_of_law_entropies(name, data):
+    spec = CONDITIONAL_PROCESSES[name]
+    coord = st.integers(-6, 6)
+    cell = st.tuples(*[coord] * spec.group.d)
+    cells = data.draw(st.lists(cell, min_size=0, max_size=8, unique=True), label="S")
+    target = data.draw(st.sampled_from(cells) | cell if cells else cell, label="target")
+    got = process.exact_conditional_entropy(spec, target, cells)
+    joint = cells + [target] * (target not in cells)
+    want = _law_entropy(spec, joint) - _law_entropy(spec, cells)
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_cylinder_law_budget():
@@ -302,11 +348,29 @@ def test_overlay_marker_moves_with_the_cell():
         assert (markers[1] - markers[0]) % 2 == 1
 
 
+@pytest.mark.parametrize("base", ["bernoulli", "markov"])
+def test_overlay_marker_is_exact_at_the_top_of_int64(base):
+    overlay = PeriodicOverlay(base={"bernoulli": fair_line(), "markov": flip_chain()}[base],
+                              period=(3,))
+    top = 2**63 - 1
+    cells = [(top,), (top - 1,), (top - 3,)]
+    marker = process.sample_many(overlay, cells, 200, seed=4) % 3
+    # adding the phase to top must not wrap int64
+    assert np.all((marker[:, 0] - marker[:, 1]) % 3 == 1)
+    assert np.all(marker[:, 0] == marker[:, 2])
+    for key in process.exact_cylinder_law(overlay, cells):
+        assert (key[0][1] - key[1][1]) % 3 == 1 and key[0][1] == key[2][1]
+
+
 def test_overlay_validation():
     with pytest.raises(DimensionMismatchError):
         PeriodicOverlay(base=fair_line(), period=(2, 2))
     with pytest.raises(InputError):
         PeriodicOverlay(base=fair_line(), period=(3,), marker_alphabet=("x", "y"))
+    base = {"variant": "bernoulli", "probs": [0.5, 0.5]}
+    for period in ([2.7], [True]):
+        with pytest.raises(InputError, match="period entry must be an int"):
+            process.from_json({"variant": "periodic_overlay", "base": base, "period": period})
 
 
 @pytest.mark.parametrize("which", ["bernoulli", "markov", "overlay"])

@@ -412,7 +412,8 @@ def test_json_round_trip(builtins):
 @pytest.mark.parametrize("case", ["missing_shape_table", "missing_rule_table",
                                   "max_level_above_tables", "rule_child_not_a_pair",
                                   "missing_top_level_key", "level_key_not_an_int",
-                                  "level_table_not_an_object"])
+                                  "level_table_not_an_object", "max_level_float",
+                                  "max_level_bool"])
 def test_from_json_rejects_malformed_tables(builtins, case):
     blob = json.loads(json.dumps(builtins["hilbert"].to_json(3)))
     if case == "missing_shape_table":
@@ -427,6 +428,9 @@ def test_from_json_rejects_malformed_tables(builtins, case):
         del blob["rules"]
     elif case == "level_key_not_an_int":
         blob["shapes"]["x"] = blob["shapes"]["3"]
+    elif case.startswith("max_level_"):
+        # int() would read these as levels 2 and 1, whose tables exist
+        blob["max_level"] = 2.9 if case == "max_level_float" else True
     else:
         blob["rules"]["2"] = [1, 2]
     with pytest.raises(InputError):
