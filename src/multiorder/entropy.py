@@ -1,11 +1,12 @@
 """Seeded entropy estimation along sampled orders.
 
-Everything is in bits.  Point estimators are plug-in (empirical cylinder
-frequencies), optionally with the first-order support-size bias correction
-(bias mode "miller_madow": add (K-1)/(2*M*ln 2) per entropy term).  A
-conditional entropy is estimated as joint-block entropy minus conditioner
-block entropy computed from the same sample stream, so the per-sample
-information terms give a valid standard error.
+Everything is in bits.  Every estimate is one signed sum of plug-in block
+entropies (empirical cylinder frequencies) from one count of m draws on
+one block of cells: block entropy H(all), conditional entropy H(all) -
+H(conditioners), remote-past mutual information H(X_0) + H(B) - H(X_0, B).
+The per-draw information terms give the mean and a valid standard error;
+bias mode "miller_madow" adds the same signed sum of (support size - 1) /
+(2*m*ln 2).
 
 Every estimator along sampled orders runs through one driver,
 ``per_order``: for each order seed it draws a straight address, expands
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .orders import OrderWindow
 from .process import Configuration
-from .util import child_seed, count_distinct_rows, spawn_seeds
+from .util import child_seed, spawn_seeds
 
 _LN2 = math.log(2.0)
 _BIAS_MODES = ("plugin", "miller_madow")
@@ -123,22 +124,30 @@ def _block_counts(proc, cells, m: int, seed):
     return codes[order[starts]], inverse, np.diff(starts, append=m)
 
 
-def _split_counts(codes: np.ndarray, counts: np.ndarray, k: int):
-    """Per joint support code, the counts of its prefix block (all cells
-    but the last, code // k, sorted like the codes) and of its last cell
-    (code % k), with the support sizes of both."""
-    prefix = codes // k
-    starts = np.flatnonzero(np.r_[True, prefix[1:] != prefix[:-1]])
-    prefix_counts = np.repeat(np.add.reduceat(counts, starts),
-                              np.diff(np.r_[starts, codes.size]))
-    last_totals = np.bincount(codes % k, weights=counts, minlength=k)
-    return (prefix_counts, starts.size,
-            last_totals[codes % k], int(np.count_nonzero(last_totals)))
+# weights of H(last cell), H(all cells but the last) and H(all cells)
+_BLOCK, _COND, _MI = (0, 0, 1), (0, -1, 1), (1, 1, -1)
 
 
-def _info(counts, m: int) -> np.ndarray:
-    """-log2 of the empirical probabilities behind counts out of m."""
-    return -np.log2(counts / m)
+def _plugin_estimate(proc, cells, m: int, seed, bias: str, signs):
+    """Mean and standard error of the sum of plug-in block entropies weighed
+    by signs, from m draws on the cells (the last row is the cell of
+    interest).  A block's counts sum from the joint support: code % k is
+    the last cell, code // k the others (no cells count m).  Terms add in
+    the order of signs from the first nonzero weight."""
+    k = process.alphabet_size(proc)
+    codes, inverse, counts = _block_counts(proc, cells, m, seed)
+    terms, excess = None, 0
+    for sign, block in zip(signs, (codes % k, codes // k, codes)):
+        if sign:
+            _, idx = np.unique(block, return_inverse=True)
+            totals = np.bincount(idx, weights=counts)
+            term = -sign * np.log2(totals[idx] / m)
+            terms = term if terms is None else terms + term
+            excess += sign * (totals.size - 1)
+    est, se = _mean_se(terms[inverse])
+    if bias == "miller_madow":
+        est += excess / (2.0 * m * _LN2)
+    return est, se
 
 
 def _mean_se(terms):
@@ -169,33 +178,8 @@ def block_entropy_along_order(proc, w: OrderWindow, n: int, m: int, seed,
     _check_inputs(proc, w.group, bias)
     if n < 0:
         raise InputError(f"block span must be >= 0, got {n}")
-    _, inverse, counts = _block_counts(proc, w.rows(0, n), m, seed)
-    est, se = _mean_se(_info(counts, m)[inverse])
-    if bias == "miller_madow":
-        est += (counts.size - 1) / (2.0 * m * _LN2)
+    est, se = _plugin_estimate(proc, w.rows(0, n), m, seed, bias, _BLOCK)
     return _report(proc, est / (n + 1), se / (n + 1), m, n, bias)
-
-
-def _with_anchor(group, cells) -> np.ndarray:
-    """The cells as an array with the identity appended as the last row."""
-    arr = groups.as_cell_array(group, cells)
-    return np.concatenate([arr, np.zeros((1, group.d), dtype=np.int64)])
-
-
-def _cond_estimate(proc, cond_cells, m: int, seed, bias: str):
-    """Estimate H(symbol at e | symbols on cond_cells) from m draws."""
-    cells = _with_anchor(proc.group, cond_cells)
-    if count_distinct_rows(cells) != len(cells):
-        raise InputError("conditioner cells must be distinct and exclude the anchor")
-    k = process.alphabet_size(proc)
-    codes, inverse, counts = _block_counts(proc, cells, m, seed)
-    cond_counts, kc = _split_counts(codes, counts, k)[:2]
-    # a block of no cells has probability one: zero terms
-    cond = _info(cond_counts, m) if len(cells) > 1 else 0.0
-    est, se = _mean_se((_info(counts, m) - cond)[inverse])
-    if bias == "miller_madow":
-        est += (counts.size - kc) / (2.0 * m * _LN2)
-    return est, se
 
 
 def cond_entropy_along_order(proc, w: OrderWindow, j: int, m: int, seed,
@@ -204,7 +188,7 @@ def cond_entropy_along_order(proc, w: OrderWindow, j: int, m: int, seed,
     _check_inputs(proc, w.group, bias)
     if j < 0:
         raise InputError(f"depth must be >= 0, got {j}")
-    est, se = _cond_estimate(proc, w.rows(-j, -1), m, seed, bias)
+    est, se = _plugin_estimate(proc, w.rows(-j, 0), m, seed, bias, _COND)
     return _report(proc, est, se, m, j, bias)
 
 
@@ -250,7 +234,7 @@ def mc_integral(proc, spec: tiling.TilingSystemSpec, j: int, n_orders: int,
         raise InputError(f"depth must be >= 0, got {j}")
 
     def statistic(i, w, s):
-        return _cond_estimate(proc, w.rows(-j, -1), m, child_seed(s, 1), bias)[0]
+        return _plugin_estimate(proc, w.rows(-j, 0), m, child_seed(s, 1), bias, _COND)[0]
 
     ests, resamples = per_order(spec, level, spawn_seeds(seed, n_orders), statistic,
                                 need_past=j, threads=threads)
@@ -320,7 +304,7 @@ def successor_consistency(proc, spec: tiling.TilingSystemSpec, j: int,
                           threads: int = 1) -> SuccessorConsistencyReport:
     """Check that two routes to the depth-j conditioners agree exactly.
 
-    Route one reads order positions -j..-1 from the expanded window; route
+    Route one reads order positions -j..0 from the expanded window; route
     two walks j backward successor steps on a framed configuration and
     collects the anchors in original coordinates.  The cell sequences must
     be identical and the conditional-entropy estimates (same sample seed)
@@ -332,13 +316,11 @@ def successor_consistency(proc, spec: tiling.TilingSystemSpec, j: int,
         raise InputError(f"depth must be >= 1, got {j}")
 
     def statistic(i, w, s):
-        cells_direct = w.rows(-j, -1)
+        cells_direct = w.rows(-j, 0)
         frame = make_frame(proc, w, child_seed(s, 1))
-        offset = np.zeros(spec.group.d, dtype=np.int64)
-        cells_stepped = np.empty_like(cells_direct)
+        cells_stepped = np.zeros_like(cells_direct)  # the anchor row stays e
         for p in range(j - 1, -1, -1):
-            offset = offset + frame.window.cell(-1)
-            cells_stepped[p] = offset
+            cells_stepped[p] = cells_stepped[p + 1] + frame.window.cell(-1)
             frame = successor_step(frame, -1)
 
         bad = np.nonzero((cells_direct != cells_stepped).any(axis=1))[0]
@@ -350,8 +332,8 @@ def successor_consistency(proc, spec: tiling.TilingSystemSpec, j: int,
                 f"stepped {tuple(cells_stepped[p].tolist())}"
             )
         samp_seed = child_seed(s, 2)
-        est_a, _ = _cond_estimate(proc, cells_direct, m, samp_seed, bias)
-        est_b, _ = _cond_estimate(proc, cells_stepped, m, samp_seed, bias)
+        est_a, _ = _plugin_estimate(proc, cells_direct, m, samp_seed, bias, _COND)
+        est_b, _ = _plugin_estimate(proc, cells_stepped, m, samp_seed, bias, _COND)
         if est_a != est_b:
             raise ConsistencyError(
                 f"order {i}: estimates differ bitwise: {est_a!r} vs {est_b!r}"
@@ -442,16 +424,10 @@ def remote_past_mi(proc, spec: tiling.TilingSystemSpec, gap: int, j: int,
     _check_inputs(proc, spec.group, bias, n_orders)
     if gap < 1 or j < 1:
         raise InputError("gap and depth must be >= 1")
-    k = process.alphabet_size(proc)
 
     def statistic(i, w, s):
-        cells = _with_anchor(proc.group, w.rows(-gap - j, -gap - 1))
-        codes, inverse, counts = _block_counts(proc, cells, m, child_seed(s, 1))
-        block, kb, target, kt = _split_counts(codes, counts, k)
-        mi, _ = _mean_se((_info(target, m) + _info(block, m) - _info(counts, m))[inverse])
-        if bias == "miller_madow":
-            mi += (kt + kb - counts.size - 1) / (2.0 * m * _LN2)
-        return mi
+        cells = np.concatenate([w.rows(-gap - j, -gap - 1), w.rows(0, 0)])
+        return _plugin_estimate(proc, cells, m, child_seed(s, 1), bias, _MI)[0]
 
     ests, resamples = per_order(spec, level, spawn_seeds(seed, n_orders), statistic,
                                 need_past=gap + j, threads=threads)

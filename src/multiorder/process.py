@@ -313,7 +313,7 @@ def _draw_blocks(spec, cs, m: int, seed):
             if gap not in thresholds:
                 # the last cumulative column never counts; u < 1, so a
                 # threshold row that is >= 1 throughout adds nothing
-                cum = np.cumsum(np.linalg.matrix_power(spec.matrix, gap), axis=1)[:, :-1].T
+                cum = np.cumsum(_transition_power(spec.matrix, gap), axis=1)[:, :-1].T
                 thresholds[gap] = cum[cum.min(axis=1) < 1.0]
             col = np.zeros(m, dtype=prev.dtype)
             for row in thresholds[gap]:
@@ -421,16 +421,22 @@ def phase_entropy(spec: PeriodicOverlay) -> float:
     return float(np.log2(math.prod(spec.period)))
 
 
-def _markov_tensor(spec: MarkovLine, sorted_x: np.ndarray) -> np.ndarray:
-    if len(sorted_x) == 0:
-        return np.ones(())
-    law = np.asarray(spec.initial)
-    P = spec.matrix
-    for idx in range(1, len(sorted_x)):
-        gap = int(sorted_x[idx] - sorted_x[idx - 1])
-        step = np.linalg.matrix_power(P, gap)
-        law = np.einsum("...i,ij->...ij", law, step)
-    return law
+def _transition_power(P: np.ndarray, gap: int) -> np.ndarray:
+    """P**gap for a gap >= 1 of any size, by repeated squaring as in
+    np.linalg.matrix_power, with the rows of each product divided by their
+    sums so that rounding does not compound over the squarings."""
+    def product(a, b):
+        c = a @ b
+        return c / c.sum(axis=1, keepdims=True)
+
+    result, square = None, P
+    while gap:
+        gap, bit = divmod(gap, 2)
+        if bit:
+            result = square if result is None else product(result, square)
+        if gap:
+            square = product(square, square)
+    return result
 
 
 def _law_tensor(spec, cs: np.ndarray) -> np.ndarray:
@@ -442,7 +448,11 @@ def _law_tensor(spec, cs: np.ndarray) -> np.ndarray:
     if isinstance(spec, Bernoulli):
         return functools.reduce(np.multiply.outer, [spec.probs] * n, np.ones(()))
     order = np.argsort(cs[:, 0])
-    return np.transpose(_markov_tensor(spec, cs[order, 0]), np.argsort(order))
+    xs = cs[order, 0].tolist()  # Python ints: gaps of 2**63 or more do not wrap
+    law = np.asarray(spec.initial) if n else np.ones(())
+    for a, b in zip(xs, xs[1:]):
+        law = np.einsum("...i,ij->...ij", law, _transition_power(spec.matrix, b - a))
+    return np.transpose(law, np.argsort(order))
 
 
 def _pattern_entropy(rows: np.ndarray) -> float:

@@ -6,14 +6,26 @@ import math
 
 import numpy as np
 
+from .errors import InputError
+
 SeedLike = "int | np.random.SeedSequence | np.random.Generator"
+
+
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """The seed as a SeedSequence; InputError for one numpy rejects (say, < 0)."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    try:
+        return np.random.SeedSequence(seed)
+    except (TypeError, ValueError):
+        raise InputError(f"seed must be a nonnegative integer, got {seed!r}") from None
 
 
 def make_rng(seed) -> np.random.Generator:
     """Build a Generator from an int seed, a SeedSequence, or pass one through."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_seed_sequence(seed))
 
 
 def child_seed(seed, i: int) -> np.random.SeedSequence:
@@ -25,10 +37,7 @@ def child_seed(seed, i: int) -> np.random.SeedSequence:
     """
     if isinstance(seed, np.random.Generator):
         raise TypeError("cannot derive children from a live Generator; pass a seed")
-    if isinstance(seed, np.random.SeedSequence):
-        seq = seed
-    else:
-        seq = np.random.SeedSequence(seed)
+    seq = _seed_sequence(seed)
     return np.random.SeedSequence(seq.entropy, spawn_key=tuple(seq.spawn_key) + (int(i),))
 
 

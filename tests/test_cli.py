@@ -296,7 +296,7 @@ AUDIT = ["folner", "audit", "--name", "dyadic_standard", "--level", "6",
     "threads_env_negative", "audit_epsilon_nan", "audit_epsilon_inf",
     "validate_negative_level", "reducible_chain", "bernoulli_nan_prob",
     "markov_nan_transition", "convert_float_fields", "convert_bool_dimension",
-    "convert_bool_ranks",
+    "convert_bool_ranks", "iid_negative_seed", "audit_negative_seed",
 ])
 def test_malformed_input_exits_2_without_traceback(tmp_path, case):
     src_dir = str(Path(multiorder.__file__).resolve().parents[1])
@@ -327,6 +327,11 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, case):
         args = AUDIT + ["--candidates", "4", "--samples", "0"]
     elif case.startswith("audit_epsilon"):
         args = AUDIT + ["--candidates", "4", "--epsilon", case.rsplit("_", 1)[1]]
+    elif case == "iid_negative_seed":
+        args = ["order", "iid", "--d", "1", "--seed", "-1"]
+    elif case == "audit_negative_seed":
+        args = ["folner", "audit", "--name", "hilbert", "--level", "3", "--seed", "-5",
+                "--candidates", "4"]
     elif case == "validate_negative_level":
         args = ["tiling", "validate", "--name", "hilbert", "--level", "-1"]
     elif case in ("reducible_chain", "markov_nan_transition", "bernoulli_nan_prob"):

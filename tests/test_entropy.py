@@ -305,13 +305,13 @@ def test_successor_consistency_thread_invariant():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_successor_consistency_detects_tampering(monkeypatch, threads):
-    # The direct route reads the conditioners as window rows -3..-1.
+    # The direct route reads the conditioners and the anchor as window rows -3..0.
     real = orders.OrderWindow.rows
 
     def garbled(w, a, b):
         out = real(w, a, b)
-        if len(out) == 3:
-            out = out[[1, 0, 2]]
+        if len(out) == 4:
+            out = out[[1, 0, 2, 3]]
         return out
 
     monkeypatch.setattr(orders.OrderWindow, "rows", garbled)
@@ -460,7 +460,7 @@ def test_cond_estimate_matches_separate_counts(name, j, bias):
     proc = COUNT_PROCESSES[name]()
     cond = [(-2 * p - 1,) for p in range(j)][::-1]
     m = 700
-    got = entropy._cond_estimate(proc, cond, m, 19, bias)
+    got = entropy._plugin_estimate(proc, cond + [(0,)], m, 19, bias, entropy._COND)
     draws = process.sample_many(proc, cond + [(0,)], m, 19)
     want = oracles.cond_estimate(draws, process.alphabet_size(proc), bias)
     assert same_bits(got, want)
@@ -538,10 +538,10 @@ def test_cond_estimate_peak_memory(name):
     symbol array at once: its traced peak stays below 1.75 uniform arrays."""
     proc = flip_chain() if name == "flip" else Bernoulli(LINE, (0.3, 0.7))
     m, cond = 16384, [(-2 * p - 1,) for p in range(6)]
-    entropy._cond_estimate(proc, cond, m, 3, "miller_madow")
+    entropy._plugin_estimate(proc, cond + [(0,)], m, 3, "miller_madow", entropy._COND)
     tracemalloc.start()
     try:
-        entropy._cond_estimate(proc, cond, m, 3, "miller_madow")
+        entropy._plugin_estimate(proc, cond + [(0,)], m, 3, "miller_madow", entropy._COND)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -103,6 +103,20 @@ def test_markov_marginals_stationary_under_shift():
         assert abs(f0 - 0.5) < 0.01 and abs(f1 - 0.5) < 0.01
 
 
+def test_markov_law_and_draws_exact_at_huge_gaps():
+    # The flip chain forgets its state, so cells 2**64 - 1 or 2**52 apart
+    # carry independent fair bits; rounding must not compound over the
+    # squarings of the transition power, nor the int64 gap wrap.
+    chain = flip_chain()
+    for cells in ([(2**63 - 1,), (-2**63,)], [(0,), (2**52,)]):
+        law = process.exact_cylinder_law(chain, cells)
+        assert set(law) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        for p in law.values():
+            assert p == pytest.approx(0.25, abs=1e-12)
+    draws = process.sample_many(chain, [(0,), (2**52,)], 20000, seed=3)
+    assert abs(float(np.mean(draws[:, 1] == 0)) - 0.5) < 0.015
+
+
 def test_markov_validation():
     with pytest.raises(InputError):
         MarkovLine(transition=((0.9, 0.2), (0.1, 0.9)), alphabet=(0, 1))
