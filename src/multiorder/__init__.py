@@ -29,9 +29,7 @@ from .orders import (
 )
 from .tiling import (
     Address,
-    Shape,
     StraightnessReport,
-    SubstitutionRule,
     TilingSystemSpec,
     ValidationReport,
     builtin,

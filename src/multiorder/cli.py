@@ -49,10 +49,15 @@ def _config_validator():
 
 
 def _read_json(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON document at path ("-" for stdin); a file that cannot be read
+    or is not UTF-8 raises InputError."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(str(exc)) from None
 
 
 def _write_text(text: str, path) -> None:
@@ -389,7 +394,7 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
-    except (InputError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except (InputError, json.JSONDecodeError) as exc:
         print(f"config/input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MultiorderError as exc:

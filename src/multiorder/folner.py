@@ -144,9 +144,7 @@ def uniform_audit(spec: tiling.TilingSystemSpec, K, epsilon, candidates,
     if samples < 1 or anchors < 1:
         raise InputError(f"samples and anchors must be >= 1, got {samples} and {anchors}")
     Ks = groups.as_cell_array(spec.group, K)
-    sums = {n: Fraction(0) for n in cands}
-    worsts = {n: Fraction(0) for n in cands}
-    counts = {n: 0 for n in cands}
+    ratios = {n: [] for n in cands}
     for sub in spawn_seeds(seed, samples):
         addr, _ = tiling.sample_straight_address(spec, level, sub)
         w = tiling.expand(addr)
@@ -158,19 +156,9 @@ def uniform_audit(spec: tiling.TilingSystemSpec, K, epsilon, candidates,
                 )
             starts = np.linspace(w.lo, w.hi - n + 1, num=min(anchors, size - n + 1))
             for a in sorted(set(int(round(s)) for s in starts)):
-                r = invariance_ratio(spec.group, w.rows(a, a + n - 1), Ks)
-                sums[n] += r
-                counts[n] += 1
-                if r > worsts[n]:
-                    worsts[n] = r
-    stats = {
-        n: LengthStats(worsts[n], sums[n] / counts[n], counts[n]) for n in cands
-    }
-    threshold = None
-    for n in cands:
-        if worsts[n] < eps:
-            threshold = n
-            break
+                ratios[n].append(invariance_ratio(spec.group, w.rows(a, a + n - 1), Ks))
+    stats = {n: LengthStats(max(rs), sum(rs) / len(rs), len(rs)) for n, rs in ratios.items()}
+    threshold = next((n for n in cands if stats[n].worst < eps), None)
     return UniformAuditResult(eps, threshold, stats)
 
 

@@ -1,12 +1,13 @@
 """Lattice groups Z^d and finite element sets.
 
-Single elements are plain int tuples of length d; the group law is written
-through ``compose``/``inverse`` so callers never assume commutativity even
-though the instantiated groups are abelian.  For d = 1 the helpers accept
-bare ints.  Cell sets enter and leave every module as (n, d) int64 arrays
-(``box`` returns one): ``as_cell_array`` builds one from user input (reading
-int tuples in bulk), ``cell_tuples`` reads one back as tuples for the few
-views that still list elements.
+Single elements are plain int tuples of length d.  The groups are abelian
+and the law is coordinatewise addition: ``compose``/``inverse`` apply it to
+single elements, while cell arrays use int64 arithmetic directly
+(``translate``, ``add_cells``).  For d = 1 the helpers accept bare ints.
+Cell sets enter and leave every module as (n, d) int64 arrays (``box``
+returns one): ``as_cell_array`` builds one from user input (reading int
+tuples in bulk), ``cell_tuples`` reads one back as tuples for the few views
+that still list elements.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as _cartesian
 
 import numpy as np
@@ -94,7 +94,7 @@ class MarkovLine:
 
     transition: tuple
     alphabet: tuple = None
-    initial: tuple = None
+    initial: tuple = field(init=False)  # the stationary law
 
     def __post_init__(self):
         rows = tuple(_check_probs(row) for row in self.transition)
@@ -110,16 +110,8 @@ class MarkovLine:
         if len(alpha) != k or len(set(alpha)) != len(alpha):
             raise InputError("alphabet must be distinct symbols matching the matrix")
         object.__setattr__(self, "alphabet", alpha)
-        if self.initial is None:
-            init = tuple(float(x) for x in stationary_distribution(self.matrix))
-        else:
-            init = _check_probs(self.initial)
-            if len(init) != k:
-                raise InputError("initial law must match the matrix size")
-            drift = np.abs(np.asarray(init) @ self.matrix - np.asarray(init)).max()
-            if drift > 1e-9:
-                raise InputError(f"initial law is not stationary (drift {drift:.2e})")
-        object.__setattr__(self, "initial", init)
+        object.__setattr__(self, "initial",
+                           tuple(float(x) for x in stationary_distribution(self.matrix)))
 
     @property
     def group(self) -> GroupSpec:
@@ -144,7 +136,7 @@ class PeriodicOverlay:
 
     base: object
     period: tuple
-    marker_alphabet: tuple = None
+    marker_alphabet: tuple = field(init=False)  # the phases, as ints or int tuples
 
     def __post_init__(self):
         per = self.period
@@ -158,18 +150,8 @@ class PeriodicOverlay:
                 f"period {per} has length {len(per)}, group dimension is {self.base.group.d}"
             )
         object.__setattr__(self, "period", per)
-        count = math.prod(per)
-        marks = self.marker_alphabet
-        if marks is None:
-            if len(per) == 1:
-                marks = tuple(range(per[0]))
-            else:
-                marks = tuple(_cartesian(*(range(p) for p in per)))
-        else:
-            marks = tuple(marks)
-        if len(marks) != count or len(set(marks)) != len(marks):
-            raise InputError(f"marker alphabet must hold {count} distinct symbols")
-        object.__setattr__(self, "marker_alphabet", marks)
+        marks = range(per[0]) if len(per) == 1 else _cartesian(*(range(p) for p in per))
+        object.__setattr__(self, "marker_alphabet", tuple(marks))
 
     @property
     def group(self) -> GroupSpec:

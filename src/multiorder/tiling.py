@@ -1,18 +1,21 @@
 """Ordered substitution tiling systems and the orders they induce.
 
-A system fixes, for every level k >= 0, a set of labelled shapes (finite
-cell sets containing the identity) and, for k >= 1, one ordered rule per
-level-k shape decomposing it exactly into translated level-(k-1) shapes.
-Level 0 holds the single singleton shape.  Expanding a level-L shape by
-recursively concatenating child expansions in rule order lays the shape's
-cells on a discrete curve; the built-in systems are two dyadic interval
-systems on the line and the Hilbert-curve square system on the plane.
+A system fixes, for every level k >= 0, a table of labelled shapes (finite
+cell sets containing the identity) and, for k >= 1, a table of one ordered
+rule per level-k shape decomposing it exactly into translated level-(k-1)
+shapes.  Level 0 holds the single singleton shape.  Expanding a level-L
+shape by recursively concatenating child expansions in rule order lays the
+shape's cells on a discrete curve; the built-in systems are two dyadic
+interval systems on the line and the Hilbert-curve square system on the
+plane.
 
-A shape's cells are one (n, d) int64 array of sorted rows.  Each spec also
-caches one child table per (level, label): child labels, an (arity, d)
-int64 offset array and each child's start rank, the prefix sums of the
-child curve lengths.  Curves are built from it, so drawing and expanding an
-address build no Shape.
+Both tables are plain dicts keyed by label: a shape table maps each label
+to its cells, a rule table maps each label to its ordered (child label,
+offset) pairs.  A spec holds a shape's cells as one (n, d) int64 array of
+sorted rows.  Each spec also caches one child table per (level, label):
+child labels, an (arity, d) int64 offset array and each child's start rank,
+the prefix sums of the child curve lengths.  Curves are built from it, so
+drawing and expanding an address never read the shape tables.
 
 An address fixes a level-L top shape together with one digit per level
 selecting the central subtile, which pins where the identity sits inside
@@ -40,36 +43,24 @@ from .process import choice_cdf, inverse_cdf, stationary_distribution
 from .util import child_seed, make_rng, row_codes
 
 SINGLETON_LABEL = "o"
-
-
-@dataclass(frozen=True)
-class Shape:
-    """A labelled finite cell set containing the identity.  cells may be any
-    collection of cells; TilingSystemSpec.shapes holds them as a read-only
-    (n, d) int64 array of the distinct cells, rows in lexicographic order."""
-
-    label: str
-    cells: object
-
-
-@dataclass(frozen=True)
-class SubstitutionRule:
-    """Ordered decomposition of a level-k shape into level-(k-1) tiles.
-
-    children lists (child_label, offset) pairs; the translated child cell
-    sets must partition the parent exactly, in the given order.
-    """
-
-    parent: str
-    children: tuple
-
-    @property
-    def arity(self) -> int:
-        return len(self.children)
+MAX_TRIES = 1000  # address draws sample_straight_address makes before giving up
 
 
 class TilingSystemSpec:
-    """Level-indexed shape tables and rules, with memoized expansions."""
+    """Level-indexed shape and rule tables, with memoized expansions.
+
+    shapes_fn(k) returns the level-k shape table {label: cells}, cells any
+    collection of cells; rules_fn(k) returns the level-k rule table {label:
+    ((child label, offset), ...)}, whose translated level-(k-1) children must
+    partition the shape exactly, in curve order.  The two-level dyadic
+    system on the line:
+
+        shapes_fn(0) == {"o": [(0,)]}
+        shapes_fn(1) == {"I": [(0,), (1,)]}
+        shapes_fn(2) == {"I": [(0,), (1,), (2,), (3,)]}
+        rules_fn(1) == {"I": (("o", (0,)), ("o", (1,)))}
+        rules_fn(2) == {"I": (("I", (0,)), ("I", (2,)))}
+    """
 
     def __init__(self, group: GroupSpec, name: str, shapes_fn, rules_fn,
                  canonical_label: str, max_level=None):
@@ -92,26 +83,26 @@ class TilingSystemSpec:
             raise InputError(f"level {k} exceeds known levels (max {self.max_level})")
 
     def shapes(self, k: int) -> dict:
-        """Labelled shapes at level k (k >= 0)."""
+        """The level-k shape table (k >= 0) as {label: read-only (n, d) int64
+        array of the distinct cells, rows in lexicographic order}."""
         self._check_level(k, 0)
         if k not in self._shapes_cache:
             table = self._shapes_fn(k)
             # Labels sharing one cell collection share one array.
-            arrays = {id(sh.cells): sh.cells for sh in table.values()}
+            arrays = {id(cells): cells for cells in table.values()}
             arrays = {key: _sorted_runs(groups.as_cell_array(self.group, cells))[2]
                       for key, cells in arrays.items()}
-            self._shapes_cache[k] = {lab: Shape(sh.label, arrays[id(sh.cells)])
-                                     for lab, sh in table.items()}
+            self._shapes_cache[k] = {lab: arrays[id(cells)] for lab, cells in table.items()}
         return self._shapes_cache[k]
 
     def rules(self, k: int) -> dict:
-        """Rules decomposing level-k shapes into level-(k-1) tiles (k >= 1)."""
+        """The level-k rule table (k >= 1): {label: ((child label, offset), ...)}."""
         self._check_level(k, 1)
         if k not in self._rules_cache:
             self._rules_cache[k] = dict(self._rules_fn(k))
         return self._rules_cache[k]
 
-    def rule(self, k: int, label: str) -> SubstitutionRule:
+    def rule(self, k: int, label: str) -> tuple:
         try:
             return self.rules(k)[label]
         except KeyError:
@@ -124,8 +115,8 @@ class TilingSystemSpec:
         key = (k, label)
         if key not in self._children_cache:
             rule = self.rule(k, label)
-            labels = tuple(child_label for child_label, _ in rule.children)
-            offsets = groups.as_cell_array(self.group, [off for _, off in rule.children])
+            labels = tuple(child_label for child_label, _ in rule)
+            offsets = groups.as_cell_array(self.group, [off for _, off in rule])
             offsets.setflags(write=False)
             sizes = (len(self.curve(k - 1, c)) if k > 1 else 1 for c in labels)
             self._children_cache[key] = (labels, offsets, (0, *accumulate(sizes)))
@@ -159,10 +150,10 @@ class TilingSystemSpec:
 
     def to_json(self, max_level: int) -> dict:
         """Serialize shape tables and rules up to the given level."""
-        shapes = {str(k): {lab: sh.cells.tolist() for lab, sh in self.shapes(k).items()}
+        shapes = {str(k): {lab: cells.tolist() for lab, cells in self.shapes(k).items()}
                   for k in range(0, max_level + 1)}
         rules = {str(k): {lab: [[cl, groups.encode(groups.element(self.group, off))]
-                                for cl, off in r.children]
+                                for cl, off in r]
                           for lab, r in self.rules(k).items()}
                  for k in range(1, max_level + 1)}
         return {
@@ -178,8 +169,15 @@ class TilingSystemSpec:
     def from_tables(cls, group: GroupSpec, name: str, shapes_by_level: dict,
                     rules_by_level: dict, canonical_label: str,
                     max_level: int) -> "TilingSystemSpec":
-        """Build a spec from explicit per-level tables: shapes at every level
-        0..max_level and rules at every level 1..max_level."""
+        """Build a spec from explicit per-level tables: shape tables at every
+        level 0..max_level and rule tables at every level 1..max_level, in the
+        format of shapes_fn and rules_fn.  The two-level dyadic system:
+
+            shapes_by_level = {0: {"o": [(0,)]}, 1: {"I": [(0,), (1,)]},
+                               2: {"I": [(0,), (1,), (2,), (3,)]}}
+            rules_by_level = {1: {"I": (("o", (0,)), ("o", (1,)))},
+                              2: {"I": (("I", (0,)), ("I", (2,)))}}
+        """
         for kind, tables, floor in (("shape", shapes_by_level, 0), ("rule", rules_by_level, 1)):
             missing = [k for k in range(floor, max_level + 1) if k not in tables]
             if missing:
@@ -192,10 +190,10 @@ class TilingSystemSpec:
         try:
             group = GroupSpec.from_json(obj["group"])
             max_level = groups.exact_int(obj["max_level"], "max_level")
-            shapes_by_level = {int(k): {lab: Shape(lab, [groups.decode(group, c) for c in cells])
+            shapes_by_level = {int(k): {lab: [groups.decode(group, c) for c in cells]
                                         for lab, cells in table.items()}
                                for k, table in obj["shapes"].items()}
-            rules_by_level = {int(k): {lab: _decode_rule(group, lab, children)
+            rules_by_level = {int(k): {lab: _decode_rule(group, children)
                                        for lab, children in table.items()}
                               for k, table in obj["rules"].items()}
             return cls.from_tables(group, obj["name"], shapes_by_level, rules_by_level,
@@ -206,11 +204,11 @@ class TilingSystemSpec:
             raise InputError(f"malformed tiling JSON: {type(exc).__name__}: {exc}") from None
 
 
-def _decode_rule(group: GroupSpec, label: str, children) -> SubstitutionRule:
+def _decode_rule(group: GroupSpec, children) -> tuple:
     for child in children:
         if not (isinstance(child, (list, tuple)) and len(child) == 2 and isinstance(child[0], str)):
             raise InputError(f"rule child must be a [label, element] pair, got {child!r}")
-    return SubstitutionRule(label, tuple((cl, groups.decode(group, off)) for cl, off in children))
+    return tuple((cl, groups.decode(group, off)) for cl, off in children)
 
 
 def _sorted_runs(rows: np.ndarray):
@@ -319,9 +317,9 @@ def validate_spec(spec: TilingSystemSpec, max_level: int) -> ValidationReport:
     e = groups.identity(spec.group)
     for k in range(0, max_level + 1):
         for lab, shape in spec.shapes(k).items():
-            if not (shape.cells == 0).all(axis=1).any():
+            if not (shape == 0).all(axis=1).any():
                 violations.append(Violation(k, lab, "missing_identity", e))
-    if not spec.shapes(0) or any(len(s.cells) != 1 for s in spec.shapes(0).values()):
+    if not spec.shapes(0) or any(len(s) != 1 for s in spec.shapes(0).values()):
         violations.append(Violation(0, "", "level_zero_not_singletons", None))
     for k in range(1, max_level + 1):
         shapes_below = spec.shapes(k - 1)
@@ -330,18 +328,18 @@ def validate_spec(spec: TilingSystemSpec, max_level: int) -> ValidationReport:
             if lab not in rules_k:
                 violations.append(Violation(k, lab, "missing_rule", None))
                 continue
-            children = rules_k[lab].children
+            children = rules_k[lab]
             offsets = groups.as_cell_array(spec.group, [off for _, off in children])
             unknown = [c for c, _ in children if c not in shapes_below]
             violations.extend(Violation(k, lab, "unknown_child", c) for c in unknown)
-            rows = np.concatenate([shape.cells] + [
-                groups.add_cells(shapes_below[c].cells, off)
+            rows = np.concatenate([shape] + [
+                groups.add_cells(shapes_below[c], off)
                 for (c, _), off in zip(children, offsets) if c in shapes_below])
             # The sort is stable and parent rows are distinct, so a run of equal
             # rows starts with the parent's row if it has one; c child rows in a
             # run overlap c - 1 times.
             order, starts, cells = _sorted_runs(rows)
-            in_parent = order[starts] < len(shape.cells)
+            in_parent = order[starts] < len(shape)
             n_child = np.diff(np.append(starts, len(rows))) - in_parent
             found = {"overlapping_children": np.repeat(cells, np.maximum(n_child - 1, 0), axis=0)}
             if not unknown:
@@ -364,7 +362,7 @@ def top_shape_distribution(spec: TilingSystemSpec, level: int = 2):
         rules = spec.rules(level)
         labels = tuple(sorted(rules))
         n = len(labels)
-        if {c for r in rules.values() for c, _ in r.children} != set(labels):
+        if {c for r in rules.values() for c, _ in r} != set(labels):
             # Non-stationary label sets (e.g. level 1 over the singleton): the
             # chain has nowhere to mix, so fall back to uniform over top labels.
             probs = np.full(n, 1.0 / n)
@@ -372,8 +370,8 @@ def top_shape_distribution(spec: TilingSystemSpec, level: int = 2):
             P = np.zeros((n, n))
             for i, lab in enumerate(labels):
                 rule = rules[lab]
-                for child_label, _ in rule.children:
-                    P[i, labels.index(child_label)] += 1.0 / rule.arity
+                for child_label, _ in rule:
+                    P[i, labels.index(child_label)] += 1.0 / len(rule)
             probs = stationary_distribution(P)
         probs.setflags(write=False)
         spec._top_law_cache[level] = (labels, probs)
@@ -438,11 +436,11 @@ def central_tile(addr: Address, k: int):
 
 
 def sample_straight_address(spec: TilingSystemSpec, level: int, seed,
-                            need_past: int = 0, need_future: int = 0,
-                            max_tries: int = 1000):
+                            need_past: int = 0, need_future: int = 0):
     """Sample addresses until one is straight up to its level and its
-    expansion covers [-need_past, need_future].  Returns (address, retries)."""
-    for attempt in range(max_tries):
+    expansion covers [-need_past, need_future], in at most MAX_TRIES draws.
+    Returns (address, retries)."""
+    for attempt in range(MAX_TRIES):
         addr = sample_address(spec, level, child_seed(seed, attempt))
         rank = anchor_rank(addr)
         size = spec.children(level, addr.top)[2][-1]
@@ -450,7 +448,7 @@ def sample_straight_address(spec: TilingSystemSpec, level: int, seed,
                 and size - 1 - rank >= need_future):
             return addr, attempt
     raise MultiorderError(
-        f"no straight covering address found in {max_tries} tries "
+        f"no straight covering address found in {MAX_TRIES} tries "
         f"(level={level}, need_past={need_past}, need_future={need_future})"
     )
 
@@ -472,10 +470,10 @@ def speedup(spec: TilingSystemSpec) -> TilingSystemSpec:
         out = {}
         for lab, rule in spec.rules(2 * k).items():
             composed = []
-            for mid_label, off1 in rule.children:
-                for child_label, off0 in spec.rules(2 * k - 1)[mid_label].children:
+            for mid_label, off1 in rule:
+                for child_label, off0 in spec.rules(2 * k - 1)[mid_label]:
                     composed.append((child_label, groups.compose(group, off0, off1)))
-            out[lab] = SubstitutionRule(lab, tuple(composed))
+            out[lab] = tuple(composed)
         return out
 
     max_level = None if spec.max_level is None else spec.max_level // 2
@@ -488,8 +486,8 @@ def _dyadic_spec(name: str, alternating: bool) -> TilingSystemSpec:
 
     def shapes_fn(k):
         if k == 0:
-            return {SINGLETON_LABEL: Shape(SINGLETON_LABEL, np.zeros((1, 1), dtype=np.int64))}
-        return {"I": Shape("I", np.arange(2**k, dtype=np.int64).reshape(-1, 1))}
+            return {SINGLETON_LABEL: np.zeros((1, 1), dtype=np.int64)}
+        return {"I": np.arange(2**k, dtype=np.int64).reshape(-1, 1)}
 
     def rules_fn(k):
         child = "I" if k - 1 >= 1 else SINGLETON_LABEL
@@ -499,7 +497,7 @@ def _dyadic_spec(name: str, alternating: bool) -> TilingSystemSpec:
             children = (right, left)
         else:
             children = (left, right)
-        return {"I": SubstitutionRule("I", children)}
+        return {"I": children}
 
     return TilingSystemSpec(group, name, shapes_fn, rules_fn, canonical_label="I")
 
@@ -527,9 +525,9 @@ def _hilbert_spec() -> TilingSystemSpec:
 
     def shapes_fn(k):
         if k == 0:
-            return {SINGLETON_LABEL: Shape(SINGLETON_LABEL, np.zeros((1, 2), dtype=np.int64))}
+            return {SINGLETON_LABEL: np.zeros((1, 2), dtype=np.int64)}
         cells = np.indices((2**k, 2**k), dtype=np.int64).reshape(2, -1).T
-        return {lab: Shape(lab, cells) for lab in _HILBERT_TABLE}
+        return {lab: cells for lab in _HILBERT_TABLE}
 
     def rules_fn(k):
         h = 2 ** (k - 1)
@@ -540,7 +538,7 @@ def _hilbert_spec() -> TilingSystemSpec:
                 cl = child_label if k - 1 >= 1 else SINGLETON_LABEL
                 qx, qy = _QUADRANT_OFFSETS[quad]
                 children.append((cl, (qx * h, qy * h)))
-            out[lab] = SubstitutionRule(lab, tuple(children))
+            out[lab] = tuple(children)
         return out
 
     return TilingSystemSpec(group, "hilbert", shapes_fn, rules_fn, canonical_label="U")

@@ -82,12 +82,12 @@ def markov_rate(P) -> float:
 
 def validate_spec(spec, max_level: int) -> list:
     """The tuple reference for tiling.validate_spec, on any object with
-    group.d, shapes(k) -> {label: shape with .cells} and rules(k) ->
-    {label: rule with .children}: every child cell is translated one at a
-    time, overlaps are found through a seen dict and coverage through set
+    group.d, shapes(k) -> {label: cells} and rules(k) -> {label: ((child
+    label, offset), ...)}: every child cell is translated one at a time,
+    overlaps are found through a seen dict and coverage through set
     differences.  Returns (level, label, kind, witness) tuples."""
     def cell_set(shape):
-        return frozenset(tuple(int(x) for x in c) for c in shape.cells)
+        return frozenset(tuple(int(x) for x in c) for c in shape)
 
     violations = []
     e = (0,) * spec.group.d
@@ -107,7 +107,7 @@ def validate_spec(spec, max_level: int) -> list:
                 continue
             seen: dict = {}
             bad_child = False
-            for child_label, offset in rules_k[lab].children:
+            for child_label, offset in rules_k[lab]:
                 if child_label not in shapes_below:
                     violations.append((k, lab, "unknown_child", child_label))
                     bad_child = True

@@ -285,6 +285,30 @@ def test_module_entrypoint_smoke():
     assert proc.stdout.strip() == "0.1.0"
 
 
+def test_public_names_are_pinned():
+    # A name leaving (or joining) the package shows up as a diff of this list.
+    assert sorted(multiorder.__all__) == [
+        "Address", "Bernoulli", "BudgetError", "Comparison", "Configuration",
+        "ConsistencyError", "DimensionMismatchError", "EntropyReport", "Frame",
+        "GroupSpec", "IncrementWindow", "InputError", "InvalidIncrementsError",
+        "InvarianceRecord", "MarkovLine", "MultiorderError", "OrderRanking",
+        "OrderWindow", "OutOfWindowError", "PeriodicOverlay", "ShearerResult",
+        "StraightnessReport", "SuccessorConsistencyReport", "TilingSystemSpec",
+        "UniformAuditResult", "ValidationReport", "act", "audit_intervals",
+        "block_entropy_along_order", "box", "builtin", "central_tile", "compare",
+        "compose", "cond_entropy_along_order", "decode", "element", "encode",
+        "entropy", "errors", "exact_conditional_entropy", "exact_cylinder_law",
+        "exact_entropy_rate", "expand", "folner", "from_increments",
+        "full_tile_records", "groups", "identity", "iid_order", "interval",
+        "interval_growth", "invariance_ratio", "inverse", "make_frame",
+        "mc_integral", "orders", "phase_entropy", "plugin_entropy", "process",
+        "remote_past_mi", "sample", "sample_address", "sample_many",
+        "sample_straight_address", "shearer_check", "speedup", "straight_check",
+        "succ", "successor_consistency", "successor_step", "tiling",
+        "to_increments", "uniform_audit", "unit_cross", "util", "validate_spec",
+    ]
+
+
 AUDIT = ["folner", "audit", "--name", "dyadic_standard", "--level", "6",
          "--seed", "1"]
 
@@ -297,6 +321,7 @@ AUDIT = ["folner", "audit", "--name", "dyadic_standard", "--level", "6",
     "validate_negative_level", "reducible_chain", "bernoulli_nan_prob",
     "markov_nan_transition", "convert_float_fields", "convert_bool_dimension",
     "convert_bool_ranks", "iid_negative_seed", "audit_negative_seed",
+    "config_is_a_directory", "config_not_utf8", "input_not_utf8",
 ])
 def test_malformed_input_exits_2_without_traceback(tmp_path, case):
     src_dir = str(Path(multiorder.__file__).resolve().parents[1])
@@ -310,6 +335,12 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, case):
     elif case == "convert_window_without_group":
         doc.write_text(json.dumps({"form": "window"}))
         args = ["order", "convert", "--input", str(doc), "--to", "increments"]
+    elif case == "config_is_a_directory":
+        args = ["entropy", "run", "--config", str(tmp_path)]
+    elif case in ("config_not_utf8", "input_not_utf8"):
+        doc.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte-order mark
+        args = (["entropy", "run", "--config", str(doc)] if case == "config_not_utf8"
+                else ["order", "convert", "--input", str(doc), "--to", "window"])
     elif case.startswith("convert_"):
         # int() would truncate or read each of these as a valid 1-d order
         doc.write_text(json.dumps({

@@ -122,14 +122,10 @@ def test_markov_validation():
         MarkovLine(transition=((0.9, 0.2), (0.1, 0.9)), alphabet=(0, 1))
     with pytest.raises(InputError):
         MarkovLine(transition=((1.0,), (0.0, 1.0)), alphabet=(0, 1))
-    with pytest.raises(InputError):
-        MarkovLine(transition=FLIP, alphabet=(0, 1), initial=(0.9, 0.1))
     for reducible in (((1.0, 0.0), (0.0, 1.0)),
                       ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.5, 0.0, 0.5))):
         with pytest.raises(InputError, match="no unique stationary law"):
             MarkovLine(transition=reducible)
-    ok = MarkovLine(transition=FLIP, alphabet=(0, 1), initial=(0.5, 0.5))
-    assert ok.initial == (0.5, 0.5)
 
 
 @settings(max_examples=80, deadline=None)
@@ -208,8 +204,7 @@ def test_inverse_cdf_never_returns_the_alphabet_size():
 
 def test_markov_draws_stay_in_the_alphabet_when_cdfs_end_below_one(monkeypatch):
     short = 5e-13
-    chain = MarkovLine(transition=((0.9, 0.1 - short), (0.1, 0.9 - short)),
-                       initial=(0.5, 0.5 - short))
+    chain = MarkovLine(transition=((0.9, 0.1 - short), (0.1, 0.9 - short)))
 
     class Top:
         """Every uniform at the largest double below 1."""
@@ -379,8 +374,6 @@ def test_overlay_marker_is_exact_at_the_top_of_int64(base):
 def test_overlay_validation():
     with pytest.raises(DimensionMismatchError):
         PeriodicOverlay(base=fair_line(), period=(2, 2))
-    with pytest.raises(InputError):
-        PeriodicOverlay(base=fair_line(), period=(3,), marker_alphabet=("x", "y"))
     base = {"variant": "bernoulli", "probs": [0.5, 0.5]}
     for period in ([2.7], [True]):
         with pytest.raises(InputError, match="period entry must be an int"):
