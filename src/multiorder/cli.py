@@ -138,20 +138,7 @@ def _cmd_tiling_dump(args) -> int:
 def _cmd_tiling_validate(args) -> int:
     spec = tiling.builtin(args.name)
     report = tiling.validate_spec(spec, args.level)
-    payload = {
-        "name": args.name,
-        "levels_checked": report.levels_checked,
-        "ok": report.ok,
-        "violations": [
-            {
-                "level": v.level,
-                "label": v.label,
-                "kind": v.kind,
-                "witness": list(v.witness) if isinstance(v.witness, tuple) else v.witness,
-            }
-            for v in report.violations
-        ],
-    }
+    payload = {"name": args.name, "ok": report.ok, **dataclasses.asdict(report)}
     _write_text(_dump_json(payload), args.output)
     return EXIT_OK if report.ok else EXIT_FAIL
 

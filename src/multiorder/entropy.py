@@ -9,13 +9,13 @@ bias mode "miller_madow" adds the same signed sum of (support size - 1) /
 (2*m*ln 2).
 
 Every estimator along sampled orders runs through one driver,
-``per_order``: for each order seed it draws a straight address, expands
-its window and evaluates a per-order statistic, fanning the orders out over
-threads and returning the results in seed order.  Monte-Carlo aggregation
-averages the per-order estimates; the reported standard error is the
-across-order standard deviation divided by sqrt(orders).  Reports carry the
-sampling truncations, the bias mode, and an undersampling flag raised
-whenever M < 10 * |alphabet|**(block length).
+``per_order``: for each order seed it draws a straight address, takes the
+window of the positions the statistic reads and evaluates the statistic on
+it, fanning the orders out over threads and returning the results in seed
+order.  Monte-Carlo aggregation averages the per-order estimates; the
+reported standard error is the across-order standard deviation divided by
+sqrt(orders).  Reports carry the sampling truncations, the bias mode, and
+an undersampling flag raised whenever M < 10 * |alphabet|**(block length).
 
 Windows and blocks of cells are int64 arrays throughout.  A ``Frame`` holds
 a window and its symbols in window order; its ``config`` view lists the
@@ -40,7 +40,7 @@ from .errors import (
 )
 from .orders import OrderWindow
 from .process import Configuration
-from .util import child_seed, spawn_seeds
+from .util import child_seed, group_keys, spawn_seeds
 
 _LN2 = math.log(2.0)
 _BIAS_MODES = ("plugin", "miller_madow")
@@ -108,20 +108,13 @@ def plugin_entropy(counts, bias: str = "plugin") -> float:
 def _block_counts(proc, cells, m: int, seed):
     """Draw m blocks on the cells and count them: the sorted support codes
     (base k, last cell least significant), each draw's index into them and
-    their counts.  One stable argsort of the codes, cast to the smallest
-    unsigned dtype of the code space, does the count (a radix sort for
-    spaces of up to 2**16 codes)."""
+    their counts.  group_keys on the codes, cast to the smallest unsigned
+    dtype of the code space, does the count (its stable argsort is a radix
+    sort for spaces of up to 2**16 codes)."""
     codes = process.sample_codes(proc, cells, m, seed)
     keys = codes.astype(np.min_scalar_type(process.alphabet_size(proc) ** len(cells) - 1))
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.empty(m, dtype=bool)
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    inverse = np.empty(m, dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    starts = np.flatnonzero(first)
-    return codes[order[starts]], inverse, np.diff(starts, append=m)
+    first, inverse, counts = group_keys(keys)
+    return codes[first], inverse, counts
 
 
 # weights of H(last cell), H(all cells but the last) and H(all cells)
@@ -197,19 +190,21 @@ def per_order(spec: tiling.TilingSystemSpec, level: int, order_seeds, statistic,
     """Evaluate a statistic on one sampled straight order per seed.
 
     For order i with seed s: draw a straight address at the given level from
-    child_seed(s, 0) whose window covers [-need_past, need_future], expand
-    it, and call statistic(i, window, s); the statistic takes its own
-    streams as child_seed(s, 1), child_seed(s, 2), ....  Returns the
-    statistics in seed order and the total address retries.  Orders run on
-    up to ``threads`` threads; neither result nor the first error raised
-    (in seed order) depends on the count.
+    child_seed(s, 0) whose top tile covers [-need_past, need_future], and call
+    statistic(i, w, s) on w = tiling.window(addr, need_past, need_future),
+    which holds exactly those positions (reading others raises
+    OutOfWindowError).  The statistic takes its own streams as
+    child_seed(s, 1), child_seed(s, 2), ....  Returns the statistics in seed
+    order and the total address retries.  Orders run on up to ``threads``
+    threads; neither result nor the first error raised (in seed order)
+    depends on the count.
     """
     def one(i):
         s = order_seeds[i]
         addr, retries = tiling.sample_straight_address(
             spec, level, child_seed(s, 0), need_past=need_past, need_future=need_future
         )
-        return statistic(i, tiling.expand(addr), s), retries
+        return statistic(i, tiling.window(addr, need_past, need_future), s), retries
 
     if threads <= 1:
         pairs = [one(i) for i in range(len(order_seeds))]
@@ -224,8 +219,8 @@ def mc_integral(proc, spec: tiling.TilingSystemSpec, j: int, n_orders: int,
                 threads: int = 1) -> EntropyReport:
     """Average conditional entropy at depth j over sampled straight orders.
 
-    For each order: sample a straight address at the given level whose
-    window covers [-j, 0], expand it, and estimate the anchor symbol's
+    For each order: sample a straight address at the given level whose top
+    tile covers [-j, 0], take that window, and estimate the anchor symbol's
     entropy given its j order-predecessors from m fresh draws.  As j grows
     the average approaches the process entropy rate from above.
     """
@@ -304,8 +299,8 @@ def successor_consistency(proc, spec: tiling.TilingSystemSpec, j: int,
                           threads: int = 1) -> SuccessorConsistencyReport:
     """Check that two routes to the depth-j conditioners agree exactly.
 
-    Route one reads order positions -j..0 from the expanded window; route
-    two walks j backward successor steps on a framed configuration and
+    Route one reads order positions -j..0 from the window; route two walks
+    j backward successor steps on a framed configuration of that window and
     collects the anchors in original coordinates.  The cell sequences must
     be identical and the conditional-entropy estimates (same sample seed)
     bit-identical; any mismatch raises ConsistencyError, for the first

@@ -14,17 +14,20 @@ to its cells, a rule table maps each label to its ordered (child label,
 offset) pairs.  A spec holds a shape's cells as one (n, d) int64 array of
 sorted rows.  Each spec also caches one child table per (level, label):
 child labels, an (arity, d) int64 offset array and each child's start rank,
-the prefix sums of the child curve lengths.  Curves are built from it, so
-drawing and expanding an address never read the shape tables.
+the prefix sums of the child sizes, summed over the child tables below.
+Curves are built from it too, so drawing an address builds no curve and
+reads no shape table.
 
 An address fixes a level-L top shape together with one digit per level
 selecting the central subtile, which pins where the identity sits inside
 the expanded top tile.  An Address walks its digits down the child table
-once, on construction; anchor_rank, straight_check, central_tile and expand
-read that walk.  Expansion yields an anchored OrderWindow.  Addresses whose
-top digits keep selecting the first (or last) child forever correspond to
-degenerate orders; straight_check reports the truncated statistics and
-samplers can reject on them.
+once, on construction, recording per level the central tile's label,
+offset and size and the identity's rank in it.  window(addr, p, f) slices
+order positions -p..f from the curve of the lowest central tile holding
+them, at any level up to 63; expand is the window over the whole top tile.
+Addresses whose top digits keep selecting the first (or last) child forever
+correspond to degenerate orders; straight_check reports the truncated
+statistics and samplers can reject on them.
 """
 
 from __future__ import annotations
@@ -36,11 +39,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import groups
-from .errors import InputError, MultiorderError
+from .errors import InputError, MultiorderError, OutOfWindowError
 from .groups import GroupSpec
 from .orders import OrderWindow
 from .process import choice_cdf, inverse_cdf, stationary_distribution
-from .util import child_seed, make_rng, row_codes
+from .util import child_seed, group_keys, make_rng, row_codes
 
 SINGLETON_LABEL = "o"
 MAX_TRIES = 1000  # address draws sample_straight_address makes before giving up
@@ -89,9 +92,10 @@ class TilingSystemSpec:
         if k not in self._shapes_cache:
             table = self._shapes_fn(k)
             # Labels sharing one cell collection share one array.
-            arrays = {id(cells): cells for cells in table.values()}
-            arrays = {key: _sorted_runs(groups.as_cell_array(self.group, cells))[2]
-                      for key, cells in arrays.items()}
+            arrays = {id(cells): groups.as_cell_array(self.group, cells)
+                      for cells in table.values()}
+            arrays = {key: groups.read_only(rows[group_keys(row_codes(rows))[0]])
+                      for key, rows in arrays.items()}
             self._shapes_cache[k] = {lab: arrays[id(cells)] for lab, cells in table.items()}
         return self._shapes_cache[k]
 
@@ -111,14 +115,15 @@ class TilingSystemSpec:
     def children(self, k: int, label: str) -> tuple:
         """The rule of a level-k shape as (child labels, (arity, d) int64
         offsets, ranks); ranks[i] is the curve rank at which child i starts
-        and ranks[-1] is the shape's size.  Level-0 tiles are singletons."""
+        and ranks[-1] is the shape's size, summed over the child tables below
+        without building a curve.  Level-0 tiles are singletons."""
         key = (k, label)
         if key not in self._children_cache:
             rule = self.rule(k, label)
             labels = tuple(child_label for child_label, _ in rule)
             offsets = groups.as_cell_array(self.group, [off for _, off in rule])
             offsets.setflags(write=False)
-            sizes = (len(self.curve(k - 1, c)) if k > 1 else 1 for c in labels)
+            sizes = (self.children(k - 1, c)[2][-1] if k > 1 else 1 for c in labels)
             self._children_cache[key] = (labels, offsets, (0, *accumulate(sizes)))
         return self._children_cache[key]
 
@@ -211,26 +216,14 @@ def _decode_rule(group: GroupSpec, children) -> tuple:
     return tuple((cl, groups.decode(group, off)) for cl, off in children)
 
 
-def _sorted_runs(rows: np.ndarray):
-    """The permutation sorting the rows lexicographically (stable), the
-    sorted positions where each run of equal rows starts, and the distinct
-    rows in that order, read-only.  Row codes sort as their rows do."""
-    codes = row_codes(rows)
-    order = np.argsort(codes, kind="stable")
-    codes = codes[order]
-    fresh = np.ones(len(rows), dtype=bool)
-    fresh[1:] = codes[1:] != codes[:-1]
-    starts = np.flatnonzero(fresh)
-    return order, starts, groups.read_only(rows[order[starts]])
-
-
 class _Walk(NamedTuple):
     """An address's digits walked down the child table, top first."""
 
     labels: tuple  # central-tile label at levels L, L-1, ..., 0
     offsets: np.ndarray  # (L + 1, d): row i sums the first i chosen offsets
     arities: tuple  # rule arity at levels L, ..., 1
-    rank: int  # curve rank of the identity in the top tile
+    ranks: tuple  # identity's curve rank in the central tile at levels L, ..., 0
+    sizes: tuple  # curve length of the central tile at levels L, ..., 0
 
 
 @dataclass(frozen=True)
@@ -256,10 +249,10 @@ class Address:
             )
         if any(type(d) is bool or not isinstance(d, (int, np.integer)) for d in self.digits):
             raise InputError(f"address digits must be ints, got {self.digits!r}")
-        labels, arities, rank = [self.top], [], 0
+        labels, arities, starts, sizes = [self.top], [], [], []
         steps = np.zeros((self.level + 1, self.spec.group.d), dtype=np.int64)
         for pos, k in enumerate(range(self.level, 0, -1)):
-            child_labels, offsets, ranks = self.spec.children(k, labels[-1])
+            child_labels, offsets, child_ranks = self.spec.children(k, labels[-1])
             d = self.digits[pos]
             arity = len(child_labels)
             if not 1 <= d <= arity:
@@ -269,9 +262,11 @@ class Address:
             labels.append(child_labels[d - 1])
             arities.append(arity)
             steps[pos + 1] = offsets[d - 1]
-            rank += ranks[d - 1]
+            starts.append(child_ranks[d - 1])
+            sizes.append(child_ranks[-1])
+        ranks = tuple(accumulate(reversed(starts), initial=0))[::-1]
         object.__setattr__(self, "_walk", _Walk(tuple(labels), steps.cumsum(axis=0),
-                                                tuple(arities), rank))
+                                                tuple(arities), ranks, (*sizes, 1)))
 
 
 @dataclass(frozen=True)
@@ -335,12 +330,13 @@ def validate_spec(spec: TilingSystemSpec, max_level: int) -> ValidationReport:
             rows = np.concatenate([shape] + [
                 groups.add_cells(shapes_below[c], off)
                 for (c, _), off in zip(children, offsets) if c in shapes_below])
-            # The sort is stable and parent rows are distinct, so a run of equal
-            # rows starts with the parent's row if it has one; c child rows in a
-            # run overlap c - 1 times.
-            order, starts, cells = _sorted_runs(rows)
-            in_parent = order[starts] < len(shape)
-            n_child = np.diff(np.append(starts, len(rows))) - in_parent
+            # The sort is stable and parent rows are distinct, so a group of
+            # equal rows starts with the parent's row if it has one; c child
+            # rows in a group overlap c - 1 times.
+            first, _, counts = group_keys(row_codes(rows))
+            cells = rows[first]
+            in_parent = first < len(shape)
+            n_child = counts - in_parent
             found = {"overlapping_children": np.repeat(cells, np.maximum(n_child - 1, 0), axis=0)}
             if not unknown:
                 found["uncovered_cell"] = cells[n_child == 0]
@@ -406,20 +402,30 @@ def straight_check(addr: Address) -> StraightnessReport:
 
 def anchor_rank(addr: Address) -> int:
     """0-based position of the identity in the expansion of the top tile."""
-    return addr._walk.rank
+    return addr._walk.ranks[0]
+
+
+def window(addr: Address, past: int, future: int) -> OrderWindow:
+    """Order positions -past..future as an anchored window: rows r-past..r+future
+    of the curve of the lowest central tile holding them, r the identity's
+    rank there, translated so that row r is the identity.  A central tile's
+    curve is a contiguous, translated block of the top tile's curve, so any
+    tile holding them gives the same window; OutOfWindowError if none does."""
+    walk = addr._walk
+    for pos in range(addr.level, -1, -1):
+        r = walk.ranks[pos]
+        if past <= r <= walk.sizes[pos] - 1 - future:
+            base = addr.spec.curve(addr.level - pos, walk.labels[pos])
+            return OrderWindow(addr.spec.group, -past, future,
+                               groups.translate(base[r - past:r + future + 1], base[r]),
+                               _trusted=True)
+    raise OutOfWindowError(f"positions [{-past}, {future}] outside the top tile")
 
 
 def expand(addr: Address) -> OrderWindow:
-    """Expand the addressed top tile into an anchored order window.
-
-    The window spans [-rank, size-1-rank] where rank is the curve position
-    of the identity inside the top tile; cells are the tile's cells in
-    curve order, translated so the addressed cell is the identity.
-    """
-    base = addr.spec.curve(addr.level, addr.top)
-    rank = addr._walk.rank
-    return OrderWindow(addr.spec.group, -rank, base.shape[0] - 1 - rank,
-                       groups.translate(base, addr._walk.offsets[-1]), _trusted=True)
+    """The whole addressed top tile as an anchored order window."""
+    rank = addr._walk.ranks[0]
+    return window(addr, rank, addr._walk.sizes[0] - 1 - rank)
 
 
 def central_tile(addr: Address, k: int):
@@ -442,10 +448,8 @@ def sample_straight_address(spec: TilingSystemSpec, level: int, seed,
     Returns (address, retries)."""
     for attempt in range(MAX_TRIES):
         addr = sample_address(spec, level, child_seed(seed, attempt))
-        rank = anchor_rank(addr)
-        size = spec.children(level, addr.top)[2][-1]
-        if (straight_check(addr).straight_up_to_level and rank >= need_past
-                and size - 1 - rank >= need_future):
+        if (straight_check(addr).straight_up_to_level
+                and need_past <= anchor_rank(addr) <= addr._walk.sizes[0] - 1 - need_future):
             return addr, attempt
     raise MultiorderError(
         f"no straight covering address found in {MAX_TRIES} tries "

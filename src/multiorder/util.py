@@ -1,4 +1,5 @@
-"""Small shared helpers: seeded RNG plumbing and exact integer row packing."""
+"""Small shared helpers: seeded RNG plumbing, exact integer row packing and
+grouping equal keys."""
 
 from __future__ import annotations
 
@@ -7,8 +8,6 @@ import math
 import numpy as np
 
 from .errors import InputError
-
-SeedLike = "int | np.random.SeedSequence | np.random.Generator"
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -79,3 +78,17 @@ def count_distinct_rows(arr: np.ndarray) -> int:
     with their neighbours (np.unique hashes int64 input on numpy 2.4, slower)."""
     codes = np.sort(row_codes(arr))
     return int(codes.size > 0) + int(np.count_nonzero(codes[1:] != codes[:-1]))
+
+
+def group_keys(keys: np.ndarray):
+    """Group equal keys with one stable argsort: each group's first index
+    into keys, each key's group and each group's size, groups in key order
+    (np.unique's return_index, return_inverse and return_counts)."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(fresh) - 1
+    starts = np.flatnonzero(fresh)
+    return order[starts], inverse, np.diff(starts, append=len(keys))

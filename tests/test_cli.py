@@ -12,6 +12,7 @@ import pytest
 import multiorder
 from multiorder import cli, entropy, orders, tiling
 from multiorder.errors import ConsistencyError
+from multiorder.groups import GroupSpec
 from multiorder.schema import EXPERIMENT_CONFIG_SCHEMA
 
 FLIP = {"variant": "markov_line", "transition": [[0.9, 0.1], [0.1, 0.9]],
@@ -115,6 +116,19 @@ def test_tiling_validate(tmp_path, capsys):
     assert cli.main(["tiling", "validate", "--name", "penrose", "--level",
                      "2"]) == 2
     assert "config/input error" in capsys.readouterr().err
+
+
+def test_tiling_validate_payload_for_a_broken_spec(monkeypatch, capsys, data_dir):
+    # A missing identity, overlapping children and an unknown child.
+    shapes = {0: {"o": [(0,)]}, 1: {"A": [(1,), (2,)], "B": [(0,), (1,)]},
+              2: {"A": [(0,), (1,), (2,), (3,)]}}
+    rules = {1: {"A": (("o", (1,)), ("o", (2,))), "B": (("o", (0,)), ("o", (0,)))},
+             2: {"A": (("B", (0,)), ("Z", (2,)))}}
+    broken = tiling.TilingSystemSpec.from_tables(GroupSpec.line(), "broken", shapes,
+                                                 rules, "A", 2)
+    monkeypatch.setattr(tiling, "builtin", lambda name: broken)
+    assert cli.main(["tiling", "validate", "--name", "broken", "--level", "2"]) == 1
+    assert capsys.readouterr().out == (data_dir / "validate_broken.json").read_text()
 
 
 def test_folner_audit_csv(tmp_path, capsys):
@@ -321,7 +335,7 @@ AUDIT = ["folner", "audit", "--name", "dyadic_standard", "--level", "6",
     "validate_negative_level", "reducible_chain", "bernoulli_nan_prob",
     "markov_nan_transition", "convert_float_fields", "convert_bool_dimension",
     "convert_bool_ranks", "iid_negative_seed", "audit_negative_seed",
-    "config_is_a_directory", "config_not_utf8", "input_not_utf8",
+    "config_is_a_directory", "config_not_utf8", "input_not_utf8", "hilbert_level_64",
 ])
 def test_malformed_input_exits_2_without_traceback(tmp_path, case):
     src_dir = str(Path(multiorder.__file__).resolve().parents[1])
@@ -373,6 +387,12 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, case):
                                       "transition": [[math.nan, 1], [0.5, 0.5]]},
             "bernoulli_nan_prob": {"variant": "bernoulli", "probs": [math.nan, 1]},
         }[case]
+        doc.write_text(json.dumps(config))
+        args = ["entropy", "run", "--config", str(doc)]
+    elif case == "hilbert_level_64":
+        # tile offsets of 2^63 leave int64
+        config = base_config(tmp_path)
+        config["experiments"][0]["tiling"]["level"] = 64
         doc.write_text(json.dumps(config))
         args = ["entropy", "run", "--config", str(doc)]
     else:

@@ -546,3 +546,15 @@ def test_cond_estimate_peak_memory(name):
     finally:
         tracemalloc.stop()
     assert peak < 1.75 * m * 7 * 8
+
+
+@pytest.mark.parametrize("name, level", [("hilbert", 30), ("dyadic_alternating", 60)])
+def test_deep_levels_build_only_the_curves_read(name, level):
+    proc = Bernoulli(GRID, (0.5, 0.5)) if name == "hilbert" else flip_chain()
+    for run in (lambda spec: entropy.mc_integral(proc, spec, 12, 20, 2000, level, seed=7),
+                lambda spec: entropy.successor_consistency(proc, spec, 16, 20, 500, level,
+                                                           seed=7)):
+        spec = tiling.builtin(name)
+        report = run(spec)
+        assert report.orders == 20
+        assert sum(len(curve) for curve in spec._curve_cache.values()) < 65536

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from multiorder import orders, tiling
-from multiorder.errors import InputError, MultiorderError
+from multiorder.errors import InputError, MultiorderError, OutOfWindowError
 from multiorder.groups import GroupSpec
 from multiorder.tiling import Address, TilingSystemSpec
 
@@ -496,7 +496,10 @@ def test_address_walk_matches_tuple_oracle(walked):
         oracle_label, oracle_cum = path[level - k]
         assert label == oracle_label
         assert t == tuple(int(x) for x in np.asarray(oracle_cum) - anchor)
-        cells = {tuple(c) for c in (spec.curve(k, label) + np.asarray(t)).tolist()}
+        tile = spec.curve(k, label) + np.asarray(t)
+        assert addr._walk.ranks[level - k] == int(np.nonzero((tile == 0).all(axis=1))[0][0])
+        assert addr._walk.sizes[level - k] == len(tile)
+        cells = {tuple(c) for c in tile.tolist()}
         assert zero in cells
         if outer is not None:
             assert cells <= outer
@@ -524,3 +527,31 @@ def test_sampling_path_never_builds_shapes():
         assert len(tiling.expand(a)) == 4**8
         for k in range(0, 9):
             tiling.central_tile(a, k)
+
+
+@pytest.mark.parametrize("level", range(1, 9))
+@pytest.mark.parametrize("name", ["dyadic_standard", "dyadic_alternating", "hilbert"])
+def test_window_is_a_slice_of_expand(builtins, name, level):
+    spec = builtins[name]
+    rng = np.random.default_rng(level)
+    for seed in range(4):
+        addr = tiling.sample_address(spec, level, seed)
+        w = tiling.expand(addr)
+        for _ in range(6):
+            past, future = int(rng.integers(0, 1 - w.lo)), int(rng.integers(0, 1 + w.hi))
+            got = tiling.window(addr, past, future)
+            assert (got.lo, got.hi) == (-past, future)
+            assert np.array_equal(got.array, w.rows(-past, future))
+        for past, future in ((1 - w.lo, 0), (0, 1 + w.hi), (1 - w.lo, 1 + w.hi)):
+            with pytest.raises(OutOfWindowError):
+                tiling.window(addr, past, future)
+
+
+def test_child_sizes_build_no_curve():
+    spec = tiling.builtin("hilbert")
+    for k in range(1, 31):
+        for label in spec.rules(k):
+            assert spec.children(k, label)[2][-1] == 4**k
+    addr = tiling.sample_address(spec, 30, seed=8)
+    assert addr._walk.sizes[0] == 4**30
+    assert spec._curve_cache == {}

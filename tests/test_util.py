@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multiorder.util import count_distinct_rows, pack_rows
+from multiorder.util import count_distinct_rows, group_keys, pack_rows
 
 
 def reference_codes(arr):
@@ -78,3 +80,18 @@ def test_overflow_with_extreme_coordinates():
     arr = np.array([[lo, 1], [hi, 1], [lo, 1], [0, -1]], dtype=np.int64)
     assert pack_rows(arr) is None
     assert count_distinct_rows(arr) == 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from([np.int64, np.uint8, np.uint16]))
+def test_group_keys_matches_np_unique(data, dtype):
+    info = np.iinfo(dtype)
+    lo = data.draw(st.integers(int(info.min), int(info.max)))
+    hi = data.draw(st.integers(lo, min(int(info.max), lo + 40)))
+    keys = np.array(data.draw(st.lists(st.integers(lo, hi), max_size=60)), dtype=dtype)
+    first, inverse, counts = group_keys(keys)
+    _, want_first, want_inverse, want_counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True)
+    assert first.tolist() == want_first.tolist()
+    assert inverse.tolist() == want_inverse.tolist()
+    assert counts.tolist() == want_counts.tolist()
