@@ -124,19 +124,22 @@ _BLOCK, _COND, _MI = (0, 0, 1), (0, -1, 1), (1, 1, -1)
 def _plugin_estimate(proc, cells, m: int, seed, bias: str, signs):
     """Mean and standard error of the sum of plug-in block entropies weighed
     by signs, from m draws on the cells (the last row is the cell of
-    interest).  A block's counts sum from the joint support: code % k is
-    the last cell, code // k the others (no cells count m).  Terms add in
-    the order of signs from the first nonzero weight."""
+    interest).  A block's counts sum over the sorted joint support codes by
+    group: code % k for the last cell, the run of code // k for the others
+    (no cells count m), the code itself for all; its support is the nonzero
+    totals.  Terms add in the order of signs from the first nonzero weight."""
     k = process.alphabet_size(proc)
     codes, inverse, counts = _block_counts(proc, cells, m, seed)
+    prefix = codes // k
+    runs = np.cumsum(np.r_[False, prefix[1:] != prefix[:-1]])
     terms, excess = None, 0
-    for sign, block in zip(signs, (codes % k, codes // k, codes)):
+    for sign, idx in zip(signs, (codes % k, runs, np.arange(codes.size))):
         if sign:
-            _, idx = np.unique(block, return_inverse=True)
             totals = np.bincount(idx, weights=counts)
             term = -sign * np.log2(totals[idx] / m)
             terms = term if terms is None else terms + term
-            excess += sign * (totals.size - 1)
+            # a Python int, so that the Miller-Madow term leaves est a float
+            excess += sign * (int(np.count_nonzero(totals)) - 1)
     est, se = _mean_se(terms[inverse])
     if bias == "miller_madow":
         est += excess / (2.0 * m * _LN2)

@@ -21,7 +21,7 @@ from . import groups, tiling
 from .errors import InputError, OutOfWindowError
 from .groups import GroupSpec
 from .orders import OrderWindow
-from .util import count_distinct_rows, row_codes, spawn_seeds
+from .util import count_distinct_rows, group_keys, row_codes, spawn_seeds
 
 
 def unit_cross(spec: GroupSpec) -> np.ndarray:
@@ -168,6 +168,7 @@ def interval_growth(w: OrderWindow, F, n: int, side: str = "forward") -> Fractio
     Each g in F starts the interval of n+1 positions at k = index_of(g)
     (less n backward).  Over the sorted distinct starts k_i the union holds
     (n+1) + sum of min(k_i - k_(i-1), n+1) cells; no cells are built.
+    One searchsorted of the window's row codes into F's sorted ones finds k.
     """
     Fs = groups.as_cell_array(w.group, F)
     if not len(Fs):
@@ -177,11 +178,17 @@ def interval_growth(w: OrderWindow, F, n: int, side: str = "forward") -> Fractio
     if n < 0:
         raise InputError(f"n must be >= 0, got {n}")
     shift = n if side == "backward" else 0
-    starts = []
-    for g in Fs:
-        k = w.index_of(g) - shift
-        w.rows(k, k + n)  # OutOfWindowError if the interval leaves the window
-        starts.append(k)
-    starts = np.unique(starts)
+    wcodes, fcodes = np.split(row_codes(np.concatenate([w.array, Fs])), [len(w)])
+    first, inverse, _ = group_keys(fcodes)
+    slot = np.minimum(np.searchsorted(fcodes[first], wcodes), len(first) - 1)
+    hit = np.flatnonzero(fcodes[first][slot] == wcodes)
+    rows = np.full(len(first), -1)  # each distinct g's window row, -1 if absent
+    rows[slot[hit]] = hit
+    starts = w.lo - shift + rows  # below w.lo for an absent g
+    bad = np.flatnonzero(((starts < w.lo) | (starts + n > w.hi))[inverse])
+    if bad.size:  # the first g in F's order that fails raises its OutOfWindowError
+        k = w.index_of(Fs[bad[0]]) - shift
+        w.rows(k, k + n)
+    starts = np.sort(starts)
     covered = n + 1 + int(np.minimum(np.diff(starts), n + 1).sum())
     return Fraction(covered, len(starts))

@@ -17,8 +17,9 @@ a time, in the smallest unsigned dtype that holds the alphabet:
   of ``Generator.choice(k, size=(m, n), p=probs)``.
 - Markov chain: one ``rng.random((n, m))`` and one column per cell in
   sorted order, the first by ``inverse_cdf`` of the initial law, each
-  later one the count of thresholds its uniform exceeds, read from
-  cumulative transition powers computed once per distinct gap.
+  later one the count of thresholds its uniform exceeds, read from the
+  cumulative transition power of its gap; ``_thresholds`` caches those
+  rows per (transition matrix, gap) across draws.
 - Overlay: the base's blocks times the number of phases, plus the marker.
 
 ``sample_many`` writes the blocks into an (m, n) int64 symbol array;
@@ -150,6 +151,9 @@ class PeriodicOverlay:
                 f"period {per} has length {len(per)}, group dimension is {self.base.group.d}"
             )
         object.__setattr__(self, "period", per)
+        if math.prod(per) > _ENUM_BUDGET:
+            raise BudgetError(f"period {per} has {math.prod(per)} phases, "
+                              f"more than the budget of {_ENUM_BUDGET}")
         marks = range(per[0]) if len(per) == 1 else _cartesian(*(range(p) for p in per))
         object.__setattr__(self, "marker_alphabet", tuple(marks))
 
@@ -289,16 +293,9 @@ def _draw_blocks(spec, cs, m: int, seed):
         u = make_rng(seed).random((n, m))
         prev = inverse_cdf(np.cumsum(spec.initial), u[0])
         yield order[0], prev
-        thresholds = {}
         for c in range(1, n):
-            gap = xs[c] - xs[c - 1]
-            if gap not in thresholds:
-                # the last cumulative column never counts; u < 1, so a
-                # threshold row that is >= 1 throughout adds nothing
-                cum = np.cumsum(_transition_power(spec.matrix, gap), axis=1)[:, :-1].T
-                thresholds[gap] = cum[cum.min(axis=1) < 1.0]
             col = np.zeros(m, dtype=prev.dtype)
-            for row in thresholds[gap]:
+            for row in _thresholds(spec.transition, xs[c] - xs[c - 1]):
                 col += u[c] > row.take(prev)
             yield order[c], col
             prev = col
@@ -313,17 +310,33 @@ def _draw_blocks(spec, cs, m: int, seed):
             yield idx, block * count + _markers(spec, cs[idx], phases).reshape(block.shape)
 
 
+@functools.lru_cache(maxsize=1024)
+def _thresholds(transition: tuple, gap: int) -> np.ndarray:
+    """Read-only rows r of P**gap's cumulative law of symbols 0..r, one
+    entry per previous symbol; the next symbol is the number a uniform
+    exceeds.  Rows >= 1 throughout never count (u < 1) and are left out."""
+    cum = np.cumsum(_transition_power(np.asarray(transition, dtype=float), gap), axis=1)[:, :-1].T
+    rows = cum[cum.min(axis=1) < 1.0]
+    rows.setflags(write=False)
+    return rows
+
+
 def _markers(spec: PeriodicOverlay, cells: np.ndarray, phases=None) -> np.ndarray:
     """Row-major marker indices, one row per phase and one column per cell
     (cells an (n, d) array, or one (d,) cell for a single column); phases
     is an (m, d) array, by default all prod(period) phases in row-major
-    order.  Cells are reduced mod period before the phase is added, so no
-    int64 coordinate overflows."""
-    per = np.asarray(spec.period, dtype=np.int64)
+    order.  Per dimension, cell mod p plus phase is below 2p, so one
+    conditional subtraction reduces it, and Horner's rule folds the
+    dimensions: no int64 overflow, and O(m n) memory."""
+    cells = cells.reshape(-1, len(spec.period))
     if phases is None:
-        phases = np.indices(spec.period).reshape(len(per), -1).T
-    strides = np.cumprod(np.r_[1, per[:0:-1]])[::-1]
-    return ((cells % per + phases[:, None, :]) % per) @ strides
+        phases = np.indices(spec.period).reshape(len(spec.period), -1).T
+    out = 0
+    for c, p in enumerate(spec.period):
+        s = cells[:, c] % p + phases[:, c, None]
+        s -= p * (s >= p)
+        out = out * p + s
+    return out
 
 
 def _check_draw(spec, cells, m: int) -> np.ndarray:

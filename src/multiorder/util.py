@@ -88,7 +88,8 @@ def group_keys(keys: np.ndarray):
     ordered = keys[order]
     fresh = np.ones(len(keys), dtype=bool)
     fresh[1:] = ordered[1:] != ordered[:-1]
-    inverse = np.empty(len(keys), dtype=np.intp)
-    inverse[order] = np.cumsum(fresh) - 1
     starts = np.flatnonzero(fresh)
-    return order[starts], inverse, np.diff(starts, append=len(keys))
+    counts = np.diff(starts, append=len(keys))
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.repeat(np.arange(len(starts)), counts)
+    return order[starts], inverse, counts

@@ -220,6 +220,27 @@ def block_counts(samples: np.ndarray, k: int):
                      return_inverse=True, return_counts=True)
 
 
+def plugin_estimate(samples: np.ndarray, k: int, bias: str, signs):
+    """The signed sum of plug-in block entropies (weights for the last
+    column, the other columns and all columns) with one np.unique per block
+    over the joint support codes: mean, standard error and the Miller-Madow
+    term, term by term as entropy._plugin_estimate adds them."""
+    m = samples.shape[0]
+    codes, inverse, counts = block_counts(samples, k)
+    terms, excess = None, 0
+    for sign, block in zip(signs, (codes % k, codes // k, codes)):
+        if sign:
+            _, idx = np.unique(block, return_inverse=True)
+            totals = np.bincount(idx, weights=counts)
+            term = -sign * np.log2(totals[idx] / m)
+            terms = term if terms is None else terms + term
+            excess += sign * (totals.size - 1)
+    est, se = mean_se(terms[inverse])
+    if bias == "miller_madow":
+        est += excess / (2.0 * m * math.log(2.0))
+    return est, se
+
+
 def block_terms(samples: np.ndarray, k: int):
     """Per-row -log2 of the empirical probability of the row's block, plus
     the block's support size; a block of no cells has zero terms."""

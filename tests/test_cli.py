@@ -323,6 +323,13 @@ def test_public_names_are_pinned():
     ]
 
 
+def package_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src_dir = str(Path(multiorder.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src_dir] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+
+
 AUDIT = ["folner", "audit", "--name", "dyadic_standard", "--level", "6",
          "--seed", "1"]
 
@@ -338,9 +345,7 @@ AUDIT = ["folner", "audit", "--name", "dyadic_standard", "--level", "6",
     "config_is_a_directory", "config_not_utf8", "input_not_utf8", "hilbert_level_64",
 ])
 def test_malformed_input_exits_2_without_traceback(tmp_path, case):
-    src_dir = str(Path(multiorder.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src_dir] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    env = package_env()
     env.pop("MULTIORDER_THREADS", None)
     doc = tmp_path / "input.json"
     if case == "convert_json_array":
@@ -411,10 +416,24 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, case):
     assert proc.stderr.startswith("config/input error: ")
 
 
+def test_overlay_period_over_budget_exits_1_without_traceback(tmp_path):
+    # schema-valid, but 2^40 phases cannot be enumerated
+    env = package_env()
+    config = base_config(tmp_path)
+    config["experiments"][1]["process"] = {"variant": "periodic_overlay", "base": FAIR_LINE,
+                                           "period": [1 << 40]}
+    jsonschema.validate(config, EXPERIMENT_CONFIG_SCHEMA)
+    doc = tmp_path / "input.json"
+    doc.write_text(json.dumps(config))
+    proc = subprocess.run([sys.executable, "-m", "multiorder", "entropy", "run",
+                           "--config", str(doc)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: period (1099511627776,) has 1099511627776 phases")
+
+
 def test_importing_cli_leaves_jsonschema_unloaded():
-    src_dir = str(Path(multiorder.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src_dir] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    env = package_env()
     code = "import sys, multiorder.cli; print('jsonschema' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr

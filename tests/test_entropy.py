@@ -532,6 +532,36 @@ def test_block_counts_match_unique_over_sample_many(name, xs, m, seed):
         np.testing.assert_array_equal(g, want)
 
 
+ESTIMATE_PROCESSES = {  # by alphabet size
+    2: flip_chain,
+    3: lambda: MarkovLine(transition=THREE),
+    4: lambda: Bernoulli(GRID, (0.2, 0.0, 0.5, 0.3)),
+    6: lambda: PeriodicOverlay(Bernoulli(LINE, (0.5, 0.5)), 3),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.sampled_from(sorted(ESTIMATE_PROCESSES)),
+    xs=st.lists(st.integers(-60, 60), min_size=1, max_size=8, unique=True),
+    m=st.sampled_from([1, 7, 300]),
+    seed=st.integers(0, 2**32 - 1),
+    signs=st.sampled_from([entropy._BLOCK, entropy._COND, entropy._MI]),
+    bias=st.sampled_from(["plugin", "miller_madow"]),
+)
+@example(k=4, xs=[0, 3, -1, 5], m=300, seed=3, signs=entropy._MI, bias="miller_madow")
+@example(k=6, xs=[2, -4, 9, 0, 1, 7, -8, 5], m=300, seed=4, signs=entropy._COND,
+         bias="miller_madow")
+def test_plugin_estimate_matches_unique_per_block(k, xs, m, seed, signs, bias):
+    proc = ESTIMATE_PROCESSES[k]()
+    assert process.alphabet_size(proc) == k
+    cells = [(x,) * proc.group.d for x in xs]
+    got = entropy._plugin_estimate(proc, cells, m, seed, bias, signs)
+    want = oracles.plugin_estimate(process.sample_many(proc, cells, m, seed), k, bias, signs)
+    assert got == want
+    assert [type(v) for v in got] == [float, float]
+
+
 @pytest.mark.parametrize("name", ["flip", "bernoulli"])
 def test_cond_estimate_peak_memory(name):
     """One estimate on 7 cells never holds the uniforms and an (m, 7) int64

@@ -158,6 +158,42 @@ def test_markov_sample_many_matches_per_column_reference(transition, xs, m, seed
     np.testing.assert_array_equal(got, want)
 
 
+COORD = st.integers(-2**62, 2**62)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cells=st.lists(st.tuples(COORD, COORD), min_size=1, max_size=8, unique=True),
+    m=st.sampled_from([1, 7, 300]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(cells=[(2**62, -2**62), (-2**62, 2**62), (0, 0), (1, -1), (-3, 5)], m=300, seed=1)
+def test_grid_overlay_sample_many_matches_reference(cells, m, seed):
+    probs = (0.3, 0.7)
+    overlay = PeriodicOverlay(Bernoulli(GRID, probs), (2, 3))
+
+    def reference(cs, count, s):
+        return oracles.bernoulli_sample_many(probs, count, len(cs), s)
+
+    want = oracles.overlay_sample_many(reference, (2, 3), cells, m, seed)
+    np.testing.assert_array_equal(process.sample_many(overlay, cells, m, seed), want)
+
+
+def test_chain_thresholds_are_cached_read_only_rows():
+    chain = MarkovLine(transition=THREE)
+    cells = [(0,), (1,), (3,), (7,), (8,)]  # gaps 1, 2, 4, 1
+    process._thresholds.cache_clear()
+    first = process.sample_many(chain, cells, 50, seed=9)
+    assert process._thresholds.cache_info()[:2] == (1, 3)  # hits, misses
+    again = process.sample_many(chain, cells, 50, seed=9)
+    assert process._thresholds.cache_info()[:2] == (5, 3)
+    assert again.tobytes() == first.tobytes()
+    rows = process._thresholds(chain.transition, 2)
+    assert rows.shape == (2, 3) and not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0.5
+
+
 def normalised(weights) -> tuple:
     w = np.asarray(weights, dtype=float)
     return tuple(w / w.sum())

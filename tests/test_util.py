@@ -95,3 +95,8 @@ def test_group_keys_matches_np_unique(data, dtype):
     assert first.tolist() == want_first.tolist()
     assert inverse.tolist() == want_inverse.tolist()
     assert counts.tolist() == want_counts.tolist()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+def test_group_keys_of_no_keys(dtype):
+    assert [a.size for a in group_keys(np.array([], dtype=dtype))] == [0, 0, 0]
