@@ -2,8 +2,10 @@
 
 Cell sets are (n, d) int64 arrays, ``unit_cross`` included (tuple
 collections are coerced in bulk by ``groups.as_cell_array``), set sizes
-are distinct-row counts (one sort of row codes per ratio), and all ratios
-are exact ``fractions.Fraction`` values.
+are distinct-row counts, and all ratios are exact ``fractions.Fraction``
+values.  Every ratio comes from one kernel, ``_ratios``, which sorts the
+row codes of a stack of equal-size sets in one call: one sort per tile
+size in ``full_tile_records``, one per set elsewhere.
 Two length conventions coexist and are documented per function:
 ``audit_intervals`` takes the position span n of the interval [0, n] (n+1
 cells), while ``uniform_audit`` and the full-tile helpers take cell counts
@@ -31,26 +33,42 @@ def unit_cross(spec: GroupSpec) -> np.ndarray:
     return groups.read_only(np.concatenate([np.zeros_like(eye[:1]), eye, -eye]))
 
 
-def invariance_ratio(spec: GroupSpec, F, K) -> Fraction:
-    """|KF symmetric-difference F| / |F|, exactly.
+def _ratios(Fs: np.ndarray, K: np.ndarray) -> list[Fraction]:
+    """|KF symmetric-difference F| / |F| exactly, for each F of a (t, s, d)
+    stack of equal-size cell sets; repeated cells count once.
 
-    Repeated cells count once.  2|KF union F| - |KF| - |F| is read off the
-    runs of one sort of the row codes of KF ++ F, doubled, plus one on F.
+    The row codes of all of KF ++ F come from one ``row_codes`` call,
+    doubled, plus one on F.  Sorting each set's row of codes gives one run
+    per cell, its even code (from KF) first; |KF symmetric-difference F| is
+    the runs, less those ending odd (in F), plus those starting odd.
     """
+    if not len(K):
+        raise InputError("K must be nonempty")
+    t, s, d = Fs.shape
+    kf = groups.add_cells(K[None, :, None, :], Fs[:, None, :, :]).reshape(t, -1, d)
+    codes = row_codes(np.concatenate([kf, Fs], axis=1).reshape(-1, d)).reshape(t, -1)
+    codes <<= 1
+    codes[:, kf.shape[1]:] += 1
+    codes.sort(axis=1)
+    odd = (codes & 1).astype(bool)
+    codes >>= 1
+    ends = np.ones(codes.shape, dtype=bool)  # the last entry of each run
+    np.not_equal(codes[:, 1:], codes[:, :-1], out=ends[:, :-1])
+    runs = np.count_nonzero(ends, axis=1)
+    in_f = np.count_nonzero(ends & odd, axis=1)
+    only_f = np.count_nonzero(ends[:, :-1] & odd[:, 1:], axis=1) + odd[:, 0]
+    return [Fraction(r - f + o, f)
+            for r, f, o in zip(runs.tolist(), in_f.tolist(), only_f.tolist())]
+
+
+def invariance_ratio(spec: GroupSpec, F, K) -> Fraction:
+    """|KF symmetric-difference F| / |F|, exactly: the one-set case of
+    ``_ratios``.  Repeated cells count once."""
     f = groups.as_cell_array(spec, F)
     k = groups.as_cell_array(spec, K)
     if not len(f):
         raise InputError("F must be nonempty")
-    if not len(k):
-        raise InputError("K must be nonempty")
-    kf = groups.add_cells(k[:, None, :], f[None, :, :]).reshape(-1, spec.d)
-    codes = 2 * row_codes(np.concatenate([kf, f]))
-    codes[len(kf):] += 1  # one run per cell, its even code (from KF) first
-    codes.sort()
-    ends = np.append((codes[1:] >> 1) != (codes[:-1] >> 1), True)
-    n_union, n_f = int(ends.sum()), int(np.count_nonzero(codes[ends] & 1))
-    n_kf = n_union - int(np.count_nonzero(codes[np.roll(ends, 1)] & 1))
-    return Fraction(2 * n_union - n_kf - n_f, n_f)
+    return _ratios(f[None], k)[0]
 
 
 @dataclass(frozen=True)
@@ -90,19 +108,21 @@ def tile_aligned_anchors(w: OrderWindow, tile_size: int) -> list[int]:
 
 def full_tile_records(w: OrderWindow, K, tile_size: int,
                       max_anchors=None) -> list[InvarianceRecord]:
-    """Invariance records for complete aligned tiles of the given cell count."""
+    """Invariance records for complete aligned tiles of the given cell count.
+
+    The picked tiles are one stack for ``_ratios``, so one sort: at most
+    (|K|+1)|w| rows, as many as auditing the whole window as one set."""
     anchors = tile_aligned_anchors(w, tile_size)
     if max_anchors is not None and len(anchors) > max_anchors:
         picks = np.linspace(0, len(anchors) - 1, max_anchors).round().astype(int)
         anchors = [anchors[i] for i in sorted(set(int(p) for p in picks))]
     Ks = groups.as_cell_array(w.group, K)
     k_size = count_distinct_rows(Ks)
-    return [
-        InvarianceRecord(tile_size, k_size,
-                         invariance_ratio(w.group, w.rows(a, a + tile_size - 1), Ks),
-                         anchor=a)
-        for a in anchors
-    ]
+    if not anchors:
+        return []
+    tiles = w.array[np.array(anchors)[:, None] - w.lo + np.arange(tile_size)]
+    return [InvarianceRecord(tile_size, k_size, ratio, anchor=a)
+            for a, ratio in zip(anchors, _ratios(tiles, Ks))]
 
 
 @dataclass(frozen=True)

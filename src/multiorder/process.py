@@ -374,6 +374,12 @@ def sample_codes(spec, cells, m: int, seed) -> np.ndarray:
 
 
 def symbols_of(spec, indices: np.ndarray) -> list:
+    """The symbols at the given alphabet indices.  An overlay's index is
+    b * P + m over P phases, so it never builds the whole ``alphabet``."""
+    if isinstance(spec, PeriodicOverlay):
+        marks = spec.marker_alphabet
+        base, phase = np.divmod(np.asarray(indices, dtype=np.int64), len(marks))
+        return [(b, marks[m]) for b, m in zip(symbols_of(spec.base, base), phase.tolist())]
     alpha = spec.alphabet
     return [alpha[int(i)] for i in indices]
 

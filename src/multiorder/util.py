@@ -49,7 +49,8 @@ def pack_rows(arr: np.ndarray):
     """Injectively encode integer rows as int64 scalars, or None on overflow.
 
     Packing is exact (mixed-radix over per-column ranges, last column least
-    significant), so equality of codes is equality of rows.
+    significant), so equality of codes is equality of rows.  Built in place:
+    a wrap past 2^63 in ``+= col`` is undone by ``-= m`` (codes are < 2^62).
     """
     arr = np.asarray(arr, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[0] == 0:
@@ -59,9 +60,11 @@ def pack_rows(arr: np.ndarray):
     ranges = [int(col.max()) - m + 1 for col, m in zip(cols, mins)]
     if math.prod(ranges) >= 2**62:
         return None
-    codes = np.zeros(arr.shape[0], dtype=np.int64)
-    for col, m, r in zip(cols, mins, ranges):
-        codes = codes * r + (col - m)
+    codes = cols[0] - mins[0]
+    for col, m, r in zip(cols[1:], mins[1:], ranges[1:]):
+        codes *= r
+        codes += col
+        codes -= m
     return codes
 
 

@@ -132,6 +132,26 @@ def test_ratio_matches_set_count_property(data, d):
     assert folner.invariance_ratio(spec, F, K) == set_ratio(F, K)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), d=st.integers(1, 3), t=st.integers(1, 4), s=st.integers(1, 8),
+       repeat=st.booleans(), spread=st.booleans())
+def test_batched_ratios_match_single_ratios_and_set_oracle(data, d, t, s, repeat, spread):
+    cell = st.tuples(*[st.integers(-4, 4)] * d)
+    Fs = np.array(data.draw(st.lists(cell, min_size=t * s, max_size=t * s)),
+                  dtype=np.int64).reshape(t, s, d)
+    K = np.array(data.draw(st.lists(cell, min_size=1, max_size=6)), dtype=np.int64)
+    if repeat:
+        Fs[:, -1] = Fs[:, 0]
+    if spread and t * s > 1:  # too wide to pack: np.unique's codes
+        Fs[0, 0] += 2**40 if d > 1 else 2**62
+        Fs[-1, -1] -= 2**40 if d > 1 else 2**62
+        assert util.pack_rows(Fs.reshape(-1, d)) is None
+    spec = GroupSpec.grid(d)
+    got = folner._ratios(Fs, K)
+    assert got == [folner.invariance_ratio(spec, F, K) for F in Fs]
+    assert got == [set_ratio(F.tolist(), K.tolist()) for F in Fs]
+
+
 def test_ratio_translation_invariant():
     rng = np.random.default_rng(4)
     pts = [(int(x), int(y)) for x, y in rng.integers(0, 12, size=(40, 2))]
@@ -218,6 +238,26 @@ def test_hilbert_full_tile_ratios_exact(builtins):
     for k in (1, 2, 3, 4):
         recs = folner.full_tile_records(w, K, 1 << (2 * k), max_anchors=8)
         assert {r.ratio for r in recs} == {Fraction(4, 1 << k)}
+
+
+@pytest.mark.parametrize("name,level", [("dyadic_alternating", 8), ("hilbert", 5)])
+def test_full_tile_records_match_one_ratio_per_tile(builtins, name, level):
+    w = tiling.expand(tiling.sample_address(builtins[name], level, seed=2))
+    K = folner.unit_cross(w.group)
+    for size in (3, 4, 12, 16):
+        anchors = folner.tile_aligned_anchors(w, size)
+        recs = folner.full_tile_records(w, K, size)
+        assert [(r.size, r.k_size, r.anchor) for r in recs] == [
+            (size, len(K), a) for a in anchors]
+        assert [r.ratio for r in recs] == [
+            folner.invariance_ratio(w.group, w.rows(a, a + size - 1), K) for a in anchors]
+
+
+def test_full_tile_records_of_a_window_smaller_than_a_tile():
+    w = natural_window(0, 6)
+    assert folner.full_tile_records(w, [(0,), (1,)], 8) == []
+    assert folner.full_tile_records(w, [(0,), (1,)], 4, max_anchors=0) == []
+    assert [r.ratio for r in folner.full_tile_records(w, [(0,), (1,)], 7)] == [Fraction(1, 7)]
 
 
 def test_interval_growth_of_full_tiles(builtins):

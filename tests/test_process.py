@@ -407,6 +407,29 @@ def test_overlay_marker_is_exact_at_the_top_of_int64(base):
         assert (key[0][1] - key[1][1]) % 3 == 1 and key[0][1] == key[2][1]
 
 
+OVERLAYS = {
+    "line": PeriodicOverlay(base=MarkovLine(THREE, alphabet=("a", "b", "c")), period=(5,)),
+    "grid": PeriodicOverlay(base=Bernoulli(GRID, (0.2, 0.3, 0.5)), period=(2, 3)),
+    "nested": PeriodicOverlay(base=PeriodicOverlay(base=fair_line(), period=(3,)), period=(4,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERLAYS))
+def test_overlay_symbols_of_matches_alphabet(name, monkeypatch):
+    overlay = OVERLAYS[name]
+    alphabet = overlay.alphabet
+    idx = np.random.default_rng(9).integers(0, len(alphabet), size=40)
+    want = [alphabet[i] for i in idx.tolist()]
+    assert process.symbols_of(overlay, idx) == want
+    assert process.symbols_of(overlay, idx[:0]) == []
+
+    def whole_alphabet(self):
+        raise AssertionError("symbols_of built the whole overlay alphabet")
+
+    monkeypatch.setattr(PeriodicOverlay, "alphabet", property(whole_alphabet))
+    assert process.symbols_of(overlay, idx) == want
+
+
 def test_overlay_validation():
     with pytest.raises(DimensionMismatchError):
         PeriodicOverlay(base=fair_line(), period=(2, 2))

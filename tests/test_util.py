@@ -75,6 +75,14 @@ def test_overflow_falls_back_to_exact_count():
     assert count_distinct_rows(fits) == 4
 
 
+def test_pack_rows_exact_where_partial_codes_wrap():
+    top = 2**63 - 1
+    # codes * range + col passes 2^63 before -= min brings each code back
+    arr = np.array([[0, top], [3, top - 2], [1, top], [3, top - 1]], dtype=np.int64)
+    assert pack_rows(arr).tolist() == reference_codes(arr) == [2, 9, 5, 10]
+    assert count_distinct_rows(arr) == 4
+
+
 def test_overflow_with_extreme_coordinates():
     lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
     arr = np.array([[lo, 1], [hi, 1], [lo, 1], [0, -1]], dtype=np.int64)
