@@ -126,6 +126,7 @@ def _cmd_order_iid(args) -> int:
 def _cmd_tiling_dump(args) -> int:
     spec = tiling.builtin(args.name)
     label = args.shape or spec.canonical_label
+    tiling.check_curve_budget(spec, args.level, label)
     curve = spec.curve(args.level, label)
     d = spec.group.d
     coords = ["x"] if d == 1 else ["x", "y"] if d == 2 else [f"x{i}" for i in range(d)]

@@ -27,9 +27,9 @@ a time, in the smallest unsigned dtype that holds the alphabet:
 draw, so the estimators never build the symbol array.
 
 Exact laws read one law tensor (one axis per cell) for Bernoulli and the
-chain, and the marker patterns of all prod(period) phases (``_markers``,
-shared with the sampler) for the overlay.  ``exact_conditional_entropy``
-covers all three variants at any depth.
+chain; the overlay's marker at any one cell fixes its phase, so its marker
+entropy needs no phase table.  ``exact_conditional_entropy`` covers all
+three variants at any depth.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import product as _cartesian
 
 import numpy as np
 
@@ -71,11 +70,7 @@ class Bernoulli:
 
     def __post_init__(self):
         object.__setattr__(self, "probs", _check_probs(self.probs))
-        alpha = self.alphabet
-        if alpha is None:
-            alpha = tuple(range(len(self.probs)))
-        else:
-            alpha = tuple(alpha)
+        alpha = tuple(range(len(self.probs)) if self.alphabet is None else self.alphabet)
         if len(alpha) != len(self.probs) or len(set(alpha)) != len(alpha):
             raise InputError("alphabet must be distinct symbols matching probs")
         object.__setattr__(self, "alphabet", alpha)
@@ -103,11 +98,7 @@ class MarkovLine:
         if any(len(r) != k for r in rows):
             raise InputError("transition matrix must be square")
         object.__setattr__(self, "transition", rows)
-        alpha = self.alphabet
-        if alpha is None:
-            alpha = tuple(range(k))
-        else:
-            alpha = tuple(alpha)
+        alpha = tuple(range(k) if self.alphabet is None else self.alphabet)
         if len(alpha) != k or len(set(alpha)) != len(alpha):
             raise InputError("alphabet must be distinct symbols matching the matrix")
         object.__setattr__(self, "alphabet", alpha)
@@ -137,7 +128,6 @@ class PeriodicOverlay:
 
     base: object
     period: tuple
-    marker_alphabet: tuple = field(init=False)  # the phases, as ints or int tuples
 
     def __post_init__(self):
         per = self.period
@@ -154,8 +144,6 @@ class PeriodicOverlay:
         if math.prod(per) > _ENUM_BUDGET:
             raise BudgetError(f"period {per} has {math.prod(per)} phases, "
                               f"more than the budget of {_ENUM_BUDGET}")
-        marks = range(per[0]) if len(per) == 1 else _cartesian(*(range(p) for p in per))
-        object.__setattr__(self, "marker_alphabet", tuple(marks))
 
     @property
     def group(self) -> GroupSpec:
@@ -163,9 +151,7 @@ class PeriodicOverlay:
 
     @property
     def alphabet(self) -> tuple:
-        return tuple(
-            (b, m) for b in self.base.alphabet for m in self.marker_alphabet
-        )
+        return tuple(symbols_of(self, np.arange(alphabet_size(self))))
 
     def to_json(self) -> dict:
         return {
@@ -339,6 +325,14 @@ def _markers(spec: PeriodicOverlay, cells: np.ndarray, phases=None) -> np.ndarra
     return out
 
 
+def _marker_symbols(spec: PeriodicOverlay, marks: np.ndarray) -> list:
+    """The markers at row-major marker indices: the index itself on the
+    line, the tuple of its coordinates in higher dimensions."""
+    if len(spec.period) == 1:
+        return marks.tolist()
+    return list(zip(*(c.tolist() for c in np.unravel_index(marks, spec.period))))
+
+
 def _check_draw(spec, cells, m: int) -> np.ndarray:
     cs = _check_cells(spec, cells)
     if m < 1:
@@ -375,11 +369,10 @@ def sample_codes(spec, cells, m: int, seed) -> np.ndarray:
 
 def symbols_of(spec, indices: np.ndarray) -> list:
     """The symbols at the given alphabet indices.  An overlay's index is
-    b * P + m over P phases, so it never builds the whole ``alphabet``."""
+    b * P + m over P phases, decoded without building the whole ``alphabet``."""
     if isinstance(spec, PeriodicOverlay):
-        marks = spec.marker_alphabet
-        base, phase = np.divmod(np.asarray(indices, dtype=np.int64), len(marks))
-        return [(b, marks[m]) for b, m in zip(symbols_of(spec.base, base), phase.tolist())]
+        base, mark = np.divmod(np.asarray(indices, dtype=np.int64), math.prod(spec.period))
+        return list(zip(symbols_of(spec.base, base), _marker_symbols(spec, mark)))
     alpha = spec.alphabet
     return [alpha[int(i)] for i in indices]
 
@@ -456,11 +449,6 @@ def _law_tensor(spec, cs: np.ndarray) -> np.ndarray:
     return np.transpose(law, np.argsort(order))
 
 
-def _pattern_entropy(rows: np.ndarray) -> float:
-    """Entropy in bits of the law that gives each row equal weight."""
-    return _entropy_bits(np.unique(rows, axis=0, return_counts=True)[1] / len(rows))
-
-
 def exact_cylinder_law(spec, cells) -> dict:
     """Exact joint law on the given cells: {symbol tuple: probability}.
 
@@ -475,13 +463,13 @@ def exact_cylinder_law(spec, cells) -> dict:
         return dict(zip(keys, law[hit].tolist()))
     if isinstance(spec, PeriodicOverlay):
         base_law = exact_cylinder_law(spec.base, cs)
-        count = math.prod(spec.period)
-        marker_law: dict = {}
-        for row in _markers(spec, cs).tolist():
-            key = tuple(spec.marker_alphabet[i] for i in row)
-            marker_law[key] = marker_law.get(key, 0.0) + 1.0 / count
-        return {tuple(zip(bkey, mkey)): bp * mp
-                for bkey, bp in base_law.items() for mkey, mp in marker_law.items()}
+        # one distinct marker row per phase (the one empty row on no cells),
+        # sharing the symbols of one decoding of every marker
+        marks = _marker_symbols(spec, np.arange(math.prod(spec.period)))
+        rows = list(zip(*([marks[i] for i in col] for col in _markers(spec, cs).T.tolist())))
+        rows = rows or [()]
+        mp = 1.0 / len(rows)
+        return {tuple(zip(bkey, mkey)): bp * mp for bkey, bp in base_law.items() for mkey in rows}
     raise InputError(f"unknown process variant {type(spec).__name__}")
 
 
@@ -491,7 +479,8 @@ def exact_conditional_entropy(spec, target, conditioners) -> float:
 
     A MarkovLine reads only the nearest conditioner below and above the
     target (Markov property); an overlay adds to its base's value the
-    marker term H(M_{S+target}) - H(M_S) over all prod(period) phases.
+    marker term H(M_{S+target}) - H(M_S): the phase entropy for an empty S,
+    else 0, since the marker at any one cell fixes the phase.
     """
     conds = _check_cells(spec, conditioners)
     tgt = groups.element(spec.group, target)
@@ -505,7 +494,6 @@ def exact_conditional_entropy(spec, target, conditioners) -> float:
         law = _law_tensor(spec, near.reshape(-1, 1))
         return _entropy_bits(law) - _entropy_bits(law.sum(axis=0))
     if isinstance(spec, PeriodicOverlay):
-        markers = _markers(spec, np.concatenate([conds, [tgt]]))
         return (exact_conditional_entropy(spec.base, tgt, conds)
-                + _pattern_entropy(markers) - _pattern_entropy(markers[:, :-1]))
+                + (0.0 if len(conds) else phase_entropy(spec)))
     raise InputError(f"unknown process variant {type(spec).__name__}")

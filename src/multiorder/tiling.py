@@ -27,7 +27,7 @@ order positions -p..f from the curve of the lowest central tile holding
 them, at any level up to 63; expand is the window over the whole top tile.
 Addresses whose top digits keep selecting the first (or last) child forever
 correspond to degenerate orders; straight_check reports the truncated
-statistics and samplers can reject on them.
+statistics, and samplers reject them by an anchor rank of 0 or size - 1.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import groups
-from .errors import InputError, MultiorderError, OutOfWindowError
+from .errors import BudgetError, InputError, MultiorderError, OutOfWindowError
 from .groups import GroupSpec
 from .orders import OrderWindow
 from .process import choice_cdf, inverse_cdf, stationary_distribution
@@ -47,6 +47,7 @@ from .util import child_seed, group_keys, make_rng, row_codes
 
 SINGLETON_LABEL = "o"
 MAX_TRIES = 1000  # address draws sample_straight_address makes before giving up
+CURVE_BUDGET = 1 << 22  # cells of a whole-tile curve: expand and check_curve_budget
 
 
 class TilingSystemSpec:
@@ -382,8 +383,7 @@ def sample_address(spec: TilingSystemSpec, level: int, seed) -> Address:
     rng = make_rng(seed)
     labels, probs = top_shape_distribution(spec, min(level, 2))
     top = labels[int(inverse_cdf(choice_cdf(probs), rng.random()))]
-    digits = []
-    label = top
+    digits, label = [], top
     for k in range(level, 0, -1):
         child_labels = spec.children(k, label)[0]
         d = int(rng.integers(1, len(child_labels) + 1))
@@ -422,8 +422,18 @@ def window(addr: Address, past: int, future: int) -> OrderWindow:
     raise OutOfWindowError(f"positions [{-past}, {future}] outside the top tile")
 
 
+def check_curve_budget(spec: TilingSystemSpec, k: int, label: str) -> None:
+    """BudgetError if a level-k shape has over CURVE_BUDGET cells, read off the
+    child table before any curve is built; window needs no check."""
+    size = spec.children(k, label)[2][-1] if k else 1
+    if size > CURVE_BUDGET:
+        raise BudgetError(f"level-{k} shape {label!r} has {size} cells, "
+                          f"more than the budget of {CURVE_BUDGET}")
+
+
 def expand(addr: Address) -> OrderWindow:
-    """The whole addressed top tile as an anchored order window."""
+    """The whole addressed top tile as an anchored order window, in budget."""
+    check_curve_budget(addr.spec, addr.level, addr._walk.labels[0])
     rank = addr._walk.ranks[0]
     return window(addr, rank, addr._walk.sizes[0] - 1 - rank)
 
@@ -448,8 +458,9 @@ def sample_straight_address(spec: TilingSystemSpec, level: int, seed,
     Returns (address, retries)."""
     for attempt in range(MAX_TRIES):
         addr = sample_address(spec, level, child_seed(seed, attempt))
-        if (straight_check(addr).straight_up_to_level
-                and need_past <= anchor_rank(addr) <= addr._walk.sizes[0] - 1 - need_future):
+        # rank 0 (size - 1) exactly when every digit picks the first (last) child
+        if (max(need_past, 1) <= anchor_rank(addr)
+                <= addr._walk.sizes[0] - 1 - max(need_future, 1)):
             return addr, attempt
     raise MultiorderError(
         f"no straight covering address found in {MAX_TRIES} tries "
@@ -495,13 +506,8 @@ def _dyadic_spec(name: str, alternating: bool) -> TilingSystemSpec:
 
     def rules_fn(k):
         child = "I" if k - 1 >= 1 else SINGLETON_LABEL
-        left = (child, (0,))
-        right = (child, (2 ** (k - 1),))
-        if alternating and k % 2 == 1:
-            children = (right, left)
-        else:
-            children = (left, right)
-        return {"I": children}
+        left, right = (child, (0,)), (child, (2 ** (k - 1),))
+        return {"I": (right, left) if alternating and k % 2 == 1 else (left, right)}
 
     return TilingSystemSpec(group, name, shapes_fn, rules_fn, canonical_label="I")
 
@@ -516,12 +522,7 @@ _HILBERT_TABLE = {
     "D": (("R", "BR"), ("D", "TR"), ("D", "TL"), ("L", "BL")),
 }
 
-_QUADRANT_OFFSETS = {
-    "BL": (0, 0),
-    "BR": (1, 0),
-    "TL": (0, 1),
-    "TR": (1, 1),
-}
+_QUADRANT_OFFSETS = {"BL": (0, 0), "BR": (1, 0), "TL": (0, 1), "TR": (1, 1)}
 
 
 def _hilbert_spec() -> TilingSystemSpec:

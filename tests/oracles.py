@@ -212,6 +212,25 @@ def overlay_sample_many(base_sample, period, cells, m: int, seed) -> np.ndarray:
     return base * math.prod(period) + marker
 
 
+def overlay_marker_term(period, target, conditioners) -> float:
+    """H(M at S + target) - H(M at S) of a periodic marker with uniform
+    phase, S the conditioner cells: every phase's marker row (one column per
+    cell, marker (cell + phase) mod period per axis), distinct rows counted
+    by np.unique."""
+    cells = [tuple(c) for c in conditioners] + [tuple(target)]
+    rows = np.array([[tuple((c + f) % p for c, f, p in zip(cell, phase, period))
+                      for cell in cells]
+                     for phase in product(*(range(p) for p in period))],
+                    dtype=np.int64).reshape(math.prod(period), len(cells), len(period))
+
+    def pattern_entropy(patterns):
+        flat = patterns.reshape(len(patterns), -1)
+        counts = np.unique(flat, axis=0, return_counts=True)[1]
+        return entropy_bits(counts / len(flat))
+
+    return pattern_entropy(rows) - pattern_entropy(rows[:, :-1])
+
+
 def block_counts(samples: np.ndarray, k: int):
     """np.unique over the rows encoded base k (last column least
     significant): sorted support codes, each row's index, counts."""

@@ -293,7 +293,7 @@ def test_entropy_run_consistency_exit_code(tmp_path, monkeypatch):
 def test_module_entrypoint_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "multiorder", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=package_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
@@ -414,6 +414,22 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, case):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config/input error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["tiling", "dump", "--name", "dyadic_standard", "--level", "40"],
+    ["folner", "audit", "--name", "hilbert", "--level", "30", "--seed", "1",
+     "--candidates", "4"],
+])
+def test_curve_over_budget_exits_1_without_traceback(tmp_path, args):
+    # a level-40 dyadic or level-30 Hilbert curve would not fit in memory
+    proc = subprocess.run([sys.executable, "-m", "multiorder", *args,
+                           "--output", str(tmp_path / "out.csv")],
+                          capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: level-")
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_overlay_period_over_budget_exits_1_without_traceback(tmp_path):

@@ -325,6 +325,53 @@ def test_overlay_conditional_entropy_adds_no_marker_term_once_the_phase_is_known
         1.0 + math.log2(3), abs=1e-12)
 
 
+OVERLAY_CASES = [(period, base) for period in [(1,), (2,), (3,), (12,)]
+                 for base in ("fair_line", "three_chain")]
+OVERLAY_CASES += [(period, "grid") for period in [(2, 3), (4, 4)]]
+
+
+@pytest.mark.parametrize("period, base", OVERLAY_CASES)
+def test_overlay_conditional_entropy_matches_the_phase_enumeration(period, base):
+    base = {"fair_line": fair_line(), "three_chain": MarkovLine(transition=THREE),
+            "grid": Bernoulli(GRID, (0.3, 0.7))}[base]
+    overlay = PeriodicOverlay(base=base, period=period)
+    rng = np.random.default_rng(sum(period))
+    d = len(period)
+    for n in range(5):
+        for among in (False, True):
+            if among and not n:
+                continue
+            rows = np.unique(rng.integers(-9, 10, size=(n, d)), axis=0)
+            cells = [tuple(row) for row in rows.tolist()]
+            target = cells[-1] if among else tuple(rng.integers(20, 30, size=d).tolist())
+            base_value = process.exact_conditional_entropy(base, target, cells)
+            got = process.exact_conditional_entropy(overlay, target, cells)
+            want = base_value + oracles.overlay_marker_term(period, target, cells)
+            assert got == pytest.approx(want, abs=1e-12)
+            if cells:
+                assert got == base_value
+
+
+def test_overlay_at_the_phase_budget_builds_no_phase_table():
+    base = Bernoulli(GRID, (0.3, 0.7))
+    overlay = PeriodicOverlay(base=base, period=(2048, 2048))
+    assert repr(overlay) == f"PeriodicOverlay(base={base!r}, period=(2048, 2048))"
+    base_value = process.exact_conditional_entropy(base, (5, 5), [])
+    assert process.exact_conditional_entropy(overlay, (5, 5), [(0, 0), (-3, 7)]) == base_value
+    assert process.exact_conditional_entropy(overlay, (5, 5), []) == base_value + 22.0
+
+
+def test_grid_overlay_alphabet_and_symbols_are_marker_coordinates():
+    overlay = PeriodicOverlay(base=Bernoulli(GRID, (0.5, 0.5)), period=(2, 3))
+    assert overlay.alphabet == (
+        (0, (0, 0)), (0, (0, 1)), (0, (0, 2)), (0, (1, 0)), (0, (1, 1)), (0, (1, 2)),
+        (1, (0, 0)), (1, (0, 1)), (1, (0, 2)), (1, (1, 0)), (1, (1, 1)), (1, (1, 2)),
+    )
+    got = process.symbols_of(overlay, np.array([0, 5, 7, 11]))
+    assert got == [(0, (0, 0)), (0, (1, 2)), (1, (0, 1)), (1, (1, 2))]
+    assert all(type(x) is int for _, marker in got for x in marker)
+
+
 def _law_entropy(spec, cells) -> float:
     law = process.exact_cylinder_law(spec, cells).values()
     return math.fsum(-p * math.log2(p) for p in law)

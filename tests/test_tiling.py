@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from multiorder import orders, tiling
-from multiorder.errors import InputError, MultiorderError, OutOfWindowError
+from multiorder.errors import BudgetError, InputError, MultiorderError, OutOfWindowError
 from multiorder.groups import GroupSpec
 from multiorder.tiling import Address, TilingSystemSpec
 
@@ -296,6 +296,79 @@ def test_straight_check_runs():
     rep = tiling.straight_check(mixed)
     assert (rep.all_first_suffix_len, rep.all_last_suffix_len) == (2, 0)
     assert rep.straight_up_to_level
+
+
+def fibonacci_spec(max_level: int) -> TilingSystemSpec:
+    """The Fibonacci substitution a -> ab, b -> a on the line, from tables."""
+    sizes = {0: {"o": 1}}
+    shapes, rules = {0: {"o": [(0,)]}}, {}
+    for k in range(1, max_level + 1):
+        child = "a" if k > 1 else "o"
+        below = sizes[k - 1][child]
+        rules[k] = {"a": ((child, (0,)), ("b" if k > 1 else "o", (below,))),
+                    "b": ((child, (0,)),)}
+        sizes[k] = {"a": below + (sizes[k - 1]["b"] if k > 1 else 1), "b": below}
+        shapes[k] = {lab: [(i,) for i in range(n)] for lab, n in sizes[k].items()}
+    return TilingSystemSpec.from_tables(GroupSpec.line(), "fibonacci", shapes, rules, "a",
+                                        max_level)
+
+
+def all_addresses(spec, level):
+    def walk(k, label, digits):
+        if k == 0:
+            yield digits
+            return
+        for d, child in enumerate(spec.children(k, label)[0], start=1):
+            yield from walk(k - 1, child, digits + (d,))
+
+    for top in spec.rules(level):
+        for digits in walk(level, top, ()):
+            yield Address(spec, level, top, digits)
+
+
+def test_straightness_is_read_off_the_anchor_rank(builtins, monkeypatch):
+    systems = [(builtins["dyadic_standard"], 8), (builtins["dyadic_alternating"], 8),
+               (builtins["hilbert"], 4), (fibonacci_spec(8), 8)]
+    assert tiling.validate_spec(systems[-1][0], 8).ok
+    checked = 0
+    for spec, top_level in systems:
+        for level in range(1, top_level + 1):
+            for addr in all_addresses(spec, level):
+                rank, size = tiling.anchor_rank(addr), addr._walk.sizes[0]
+                assert tiling.straight_check(addr).straight_up_to_level == (0 < rank < size - 1)
+                checked += 1
+    assert checked == 2608
+
+    def no_check(addr):
+        raise AssertionError("sample_straight_address called straight_check")
+
+    monkeypatch.setattr(tiling, "straight_check", no_check)
+    for spec, _ in systems:
+        for seed in range(10):  # at level 2 a quarter or more of the draws are not straight
+            addr, _ = tiling.sample_straight_address(spec, 2, seed)
+            assert 0 < tiling.anchor_rank(addr) < addr._walk.sizes[0] - 1
+
+
+def test_whole_tile_over_the_budget_raises_before_building(builtins):
+    with pytest.raises(BudgetError, match="more than the budget"):
+        tiling.check_curve_budget(builtins["dyadic_standard"], 23, "I")
+    tiling.check_curve_budget(builtins["dyadic_standard"], 22, "I")
+    spec = tiling.builtin("hilbert")
+    addr = tiling.sample_address(spec, 30, seed=2)
+    with pytest.raises(BudgetError):
+        tiling.expand(addr)
+    assert spec._curve_cache == {}
+    assert len(tiling.window(addr, 8, 8)) == 17
+
+
+def test_window_reaches_past_the_whole_tile_budget():
+    # the identity starts the second half of a 2^23-cell tile, so position -1
+    # lies only in the level-23 tile, above the whole-tile budget
+    spec = tiling.builtin("dyadic_standard")
+    addr = Address(spec, 23, "I", (2,) + (1,) * 22)
+    assert tiling.anchor_rank(addr) == 1 << 22
+    w = tiling.window(addr, 1, 0)
+    assert w.rows(-1, 0).tolist() == [[-1], [0]]
 
 
 def test_top_run_length_distribution(builtins):
