@@ -61,11 +61,16 @@ def _read_json(path: str):
 
 
 def _write_text(text: str, path) -> None:
+    """Write to stdout for None or "-", else to the file at path, making its
+    directories; a path that cannot be written raises InputError."""
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _dump_json(obj) -> str:
@@ -250,7 +255,10 @@ def _cmd_entropy_run(args) -> int:
     ).hexdigest()
     threads = _threads(args, config)
     out_dir = Path(config.get("output_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:  # fail before any experiment runs
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(str(exc)) from None
     strict = bool(config.get("strict_sampling", False))
     master_seed = config["seed"]
 

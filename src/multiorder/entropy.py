@@ -107,14 +107,13 @@ def plugin_entropy(counts, bias: str = "plugin") -> float:
 
 def _block_counts(proc, cells, m: int, seed):
     """Draw m blocks on the cells and count them: the sorted support codes
-    (base k, last cell least significant), each draw's index into them and
-    their counts.  group_keys on the codes, cast to the smallest unsigned
-    dtype of the code space, does the count (its stable argsort is a radix
-    sort for spaces of up to 2**16 codes)."""
+    (base k, last cell least significant) as int64, each draw's index into
+    them and their counts.  group_keys groups the codes in the smallest
+    unsigned dtype of the code space, as sample_codes returns them (its
+    stable argsort is a radix sort for spaces of up to 2**16 codes)."""
     codes = process.sample_codes(proc, cells, m, seed)
-    keys = codes.astype(np.min_scalar_type(process.alphabet_size(proc) ** len(cells) - 1))
-    first, inverse, counts = group_keys(keys)
-    return codes[first], inverse, counts
+    first, inverse, counts = group_keys(codes)
+    return codes[first].astype(np.int64), inverse, counts
 
 
 # weights of H(last cell), H(all cells but the last) and H(all cells)
@@ -131,7 +130,8 @@ def _plugin_estimate(proc, cells, m: int, seed, bias: str, signs):
     k = process.alphabet_size(proc)
     codes, inverse, counts = _block_counts(proc, cells, m, seed)
     prefix = codes // k
-    runs = np.cumsum(np.r_[False, prefix[1:] != prefix[:-1]])
+    runs = np.zeros(codes.size, dtype=np.intp)
+    np.cumsum(prefix[1:] != prefix[:-1], out=runs[1:])
     terms, excess = None, 0
     for sign, idx in zip(signs, (codes % k, runs, np.arange(codes.size))):
         if sign:

@@ -8,23 +8,23 @@ process: the phase is recoverable from any far-away marker cell).
 
 Sampling is seeded and exact: marginals on a requested cell set follow the
 true finite-dimensional law, with no burn-in or approximation.  One draw
-kernel, ``_draw_blocks``, yields the symbols of m draws a block of cells at
-a time, in the smallest unsigned dtype that holds the alphabet:
+kernel, ``_draw``, returns the symbols of m draws on n cells as one (n, m)
+matrix in the smallest unsigned dtype that holds the alphabet:
 
-- Bernoulli: one ``rng.random((m, n))`` block; each symbol is the count of
-  entries of numpy's normalised cdf (``choice_cdf``) at most its uniform,
-  over the first k - 1 entries (``inverse_cdf``), so the draw has the bytes
-  of ``Generator.choice(k, size=(m, n), p=probs)``.
-- Markov chain: one ``rng.random((n, m))`` and one column per cell in
-  sorted order, the first by ``inverse_cdf`` of the initial law, each
-  later one the count of thresholds its uniform exceeds, read from the
-  cumulative transition power of its gap; ``_thresholds`` caches those
-  rows per (transition matrix, gap) across draws.
-- Overlay: the base's blocks times the number of phases, plus the marker.
+- Bernoulli: the transpose of one ``rng.random((m, n))`` block; each symbol
+  is the count of entries of numpy's normalised cdf (``choice_cdf``) at
+  most its uniform, over the first k - 1 entries (``inverse_cdf``), so the
+  draw has the bytes of ``Generator.choice(k, size=(m, n), p=probs)``.
+- Markov chain: one ``rng.random((n, m))``; rows fill in sorted cell
+  order, the first by ``inverse_cdf`` of the initial law, each later one
+  counting in place the thresholds its uniform exceeds, read from the
+  cumulative transition power of its gap (``_thresholds``, cached per
+  transition matrix and gap across draws).
+- Overlay (int64): the base's matrix times the number of phases, plus markers.
 
-``sample_many`` writes the blocks into an (m, n) int64 symbol array;
-``sample_codes`` folds each block straight into one base-k int64 code per
-draw, so the estimators never build the symbol array.
+``sample_many`` is its (m, n) int64 transpose; ``sample_codes`` folds its
+rows by Horner's rule into one base-k code per draw in the code space's
+smallest unsigned dtype, so the estimators never build the symbol array.
 
 Exact laws read one law tensor (one axis per cell) for Bernoulli and the
 chain; the overlay's marker at any one cell fixes its phase, so its marker
@@ -60,6 +60,17 @@ def _check_probs(probs) -> tuple:
     return p
 
 
+def _check_alphabet(alphabet, k: int) -> tuple:
+    """k distinct hashable symbols as a tuple, 0..k-1 by default."""
+    try:
+        alpha = tuple(range(k) if alphabet is None else alphabet)
+        if len(alpha) == k and len(set(alpha)) == k:
+            return alpha
+    except TypeError:  # not iterable, or a symbol is not hashable
+        pass
+    raise InputError(f"alphabet must be {k} distinct hashable symbols, got {alphabet!r}")
+
+
 @dataclass(frozen=True)
 class Bernoulli:
     """Independent identical draws at every cell of the group."""
@@ -70,10 +81,7 @@ class Bernoulli:
 
     def __post_init__(self):
         object.__setattr__(self, "probs", _check_probs(self.probs))
-        alpha = tuple(range(len(self.probs)) if self.alphabet is None else self.alphabet)
-        if len(alpha) != len(self.probs) or len(set(alpha)) != len(alpha):
-            raise InputError("alphabet must be distinct symbols matching probs")
-        object.__setattr__(self, "alphabet", alpha)
+        object.__setattr__(self, "alphabet", _check_alphabet(self.alphabet, len(self.probs)))
 
     def to_json(self) -> dict:
         return {
@@ -98,10 +106,7 @@ class MarkovLine:
         if any(len(r) != k for r in rows):
             raise InputError("transition matrix must be square")
         object.__setattr__(self, "transition", rows)
-        alpha = tuple(range(k) if self.alphabet is None else self.alphabet)
-        if len(alpha) != k or len(set(alpha)) != len(alpha):
-            raise InputError("alphabet must be distinct symbols matching the matrix")
-        object.__setattr__(self, "alphabet", alpha)
+        object.__setattr__(self, "alphabet", _check_alphabet(self.alphabet, k))
         object.__setattr__(self, "initial",
                            tuple(float(x) for x in stationary_distribution(self.matrix)))
 
@@ -159,9 +164,6 @@ class PeriodicOverlay:
             "base": self.base.to_json(),
             "period": list(self.period),
         }
-
-
-ProcessSpec = (Bernoulli, MarkovLine, PeriodicOverlay)
 
 
 def from_json(obj: dict):
@@ -262,38 +264,33 @@ def inverse_cdf(cdf, u):
     return out
 
 
-def _draw_blocks(spec, cs, m: int, seed):
-    """Yield (cell index or indices into cs, symbols) until every cell is
-    drawn; symbols has shape (m,) for one index and (m, len(indices)) for
-    several."""
-    if not isinstance(spec, ProcessSpec):
-        raise InputError(f"unknown process variant {type(spec).__name__}")
-    n = len(cs)
-    if n == 0:
-        return
+def _draw(spec, cs, m: int, seed) -> np.ndarray:
+    """The symbols of m draws on the cells cs: one (len(cs), m) matrix
+    whose rows follow the cell order, in the smallest unsigned dtype that
+    holds the alphabet (int64 for an overlay)."""
     if isinstance(spec, Bernoulli):
-        yield slice(None), inverse_cdf(choice_cdf(spec.probs), make_rng(seed).random((m, n)))
-    elif isinstance(spec, MarkovLine):
+        return inverse_cdf(choice_cdf(spec.probs), make_rng(seed).random((m, len(cs)))).T
+    if isinstance(spec, MarkovLine):
         order = np.argsort(cs[:, 0]).tolist()
         xs = cs[order, 0].tolist()
-        u = make_rng(seed).random((n, m))
-        prev = inverse_cdf(np.cumsum(spec.initial), u[0])
-        yield order[0], prev
-        for c in range(1, n):
-            col = np.zeros(m, dtype=prev.dtype)
-            for row in _thresholds(spec.transition, xs[c] - xs[c - 1]):
-                col += u[c] > row.take(prev)
-            yield order[c], col
-            prev = col
-    else:
+        u = make_rng(seed).random((len(cs), m))
+        out = np.zeros((len(cs), m), dtype=np.min_scalar_type(len(spec.alphabet) - 1))
+        # the first cell in x order by the initial law (no row on no cells)
+        out[order[:1]] = inverse_cdf(np.cumsum(spec.initial), u[:1])
+        for c in range(1, len(cs)):
+            row, prev = out[order[c]], out[order[c - 1]]
+            for th in _thresholds(spec.transition, xs[c] - xs[c - 1]):
+                row += u[c] > th.take(prev)
+        return out
+    if isinstance(spec, PeriodicOverlay):
         phase_seed, base_seed = spawn_seeds(seed, 2)
         rng = make_rng(phase_seed)
         phases = np.stack(
             [rng.integers(0, p, size=m, dtype=np.int64) for p in spec.period], axis=1
         )
-        count = np.int64(math.prod(spec.period))
-        for idx, block in _draw_blocks(spec.base, cs, m, base_seed):
-            yield idx, block * count + _markers(spec, cs[idx], phases).reshape(block.shape)
+        return (_draw(spec.base, cs, m, base_seed) * np.int64(math.prod(spec.period))
+                + _markers(spec, cs, phases).T)
+    raise InputError(f"unknown process variant {type(spec).__name__}")
 
 
 @functools.lru_cache(maxsize=1024)
@@ -344,27 +341,25 @@ def sample_many(spec, cells, m: int, seed) -> np.ndarray:
     """Draw m independent configurations; returns (m, len(cells)) symbol
     indices into the variant's alphabet, exact in law."""
     cs = _check_draw(spec, cells, m)
-    out = np.empty((m, len(cs)), dtype=np.int64)
-    for idx, block in _draw_blocks(spec, cs, m, seed):
-        out[:, idx] = block
-    return out
+    return np.ascontiguousarray(_draw(spec, cs, m, seed).T, dtype=np.int64)
 
 
 def sample_codes(spec, cells, m: int, seed) -> np.ndarray:
     """The m draws of sample_many(spec, cells, m, seed), each folded into
-    one base-k int64 code (k the alphabet size, the last cell least
-    significant), without building the (m, len(cells)) symbol array."""
+    one base-k code (k the alphabet size, the last cell least significant)
+    in the smallest unsigned dtype that holds k**len(cells) - 1."""
     cs = _check_draw(spec, cells, m)
     k, n = alphabet_size(spec), len(cs)
     if k**n >= 2**62:
         raise BudgetError(f"cannot encode {n}-cell blocks over {k} symbols exactly")
-    dt = np.min_scalar_type(k**n - 1)  # fold in the code space's smallest dtype
-    weights = (k ** np.arange(n - 1, -1, -1, dtype=np.int64)).astype(dt)
+    dt = np.min_scalar_type(k**n - 1)
     codes = np.zeros(m, dtype=dt)
-    for idx, block in _draw_blocks(spec, cs, m, seed):
-        for w, col in zip(np.atleast_1d(weights[idx]), block.reshape(m, -1).T):
-            codes += w * col.astype(dt, copy=False)
-    return codes.astype(np.int64)
+    # Horner's rule, k only between rows: on one cell k may not fit dt (k = 256)
+    for c, row in enumerate(_draw(spec, cs, m, seed)):
+        if c:
+            codes *= k
+        codes += row.astype(dt, copy=False)
+    return codes
 
 
 def symbols_of(spec, indices: np.ndarray) -> list:

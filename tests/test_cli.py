@@ -343,6 +343,7 @@ AUDIT = ["folner", "audit", "--name", "dyadic_standard", "--level", "6",
     "markov_nan_transition", "convert_float_fields", "convert_bool_dimension",
     "convert_bool_ranks", "iid_negative_seed", "audit_negative_seed",
     "config_is_a_directory", "config_not_utf8", "input_not_utf8", "hilbert_level_64",
+    "unhashable_alphabet", "output_dir_is_a_file", "dump_output_under_a_file",
 ])
 def test_malformed_input_exits_2_without_traceback(tmp_path, case):
     env = package_env()
@@ -384,13 +385,23 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, case):
                 "--candidates", "4"]
     elif case == "validate_negative_level":
         args = ["tiling", "validate", "--name", "hilbert", "--level", "-1"]
-    elif case in ("reducible_chain", "markov_nan_transition", "bernoulli_nan_prob"):
+    elif case == "dump_output_under_a_file":
+        doc.write_text("")
+        args = ["tiling", "dump", "--name", "dyadic_standard", "--level", "2",
+                "--output", str(doc / "x.csv")]
+    elif case == "output_dir_is_a_file":
+        doc.write_text(json.dumps(base_config(tmp_path, output_dir=str(doc))))
+        args = ["entropy", "run", "--config", str(doc)]
+    elif case in ("reducible_chain", "markov_nan_transition", "bernoulli_nan_prob",
+                  "unhashable_alphabet"):
         config = base_config(tmp_path)
         config["experiments"][1]["process"] = {
             "reducible_chain": {"variant": "markov_line", "transition": [[1, 0], [0, 1]]},
             "markov_nan_transition": {"variant": "markov_line",
                                       "transition": [[math.nan, 1], [0.5, 0.5]]},
             "bernoulli_nan_prob": {"variant": "bernoulli", "probs": [math.nan, 1]},
+            "unhashable_alphabet": {"variant": "bernoulli", "probs": [0.5, 0.5],
+                                    "alphabet": [[0], [1]]},
         }[case]
         doc.write_text(json.dumps(config))
         args = ["entropy", "run", "--config", str(doc)]

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -506,6 +506,9 @@ BLOCK_PROCESSES = {
     "three_state": lambda: MarkovLine(transition=THREE),
     "overlay_chain": lambda: PeriodicOverlay(MarkovLine(transition=THREE), 2),
     "overlay_grid": lambda: PeriodicOverlay(Bernoulli(GRID, (0.5, 0.5)), (2, 3)),
+    "overlay_nested": lambda: PeriodicOverlay(
+        PeriodicOverlay(Bernoulli(LINE, (0.5, 0.5)), 3), 4),
+    "bernoulli_256": lambda: Bernoulli(LINE, (1 / 256,) * 256),
 }
 
 
@@ -519,10 +522,12 @@ BLOCK_PROCESSES = {
 @example(name="three_state", xs=list(range(0, -38, -1)), m=300, seed=5)  # uint64 keys
 @example(name="three_state", xs=[4, -1, 7, 0, 2, -6, 9, 3, -2], m=300, seed=6)  # uint16
 @example(name="bernoulli_grid", xs=[3, 0, -2, 5, 1, 8, -7, 2], m=300, seed=7)  # uint16
+@example(name="bernoulli_256", xs=[3], m=300, seed=8)  # k itself does not fit uint8
 def test_block_counts_match_unique_over_sample_many(name, xs, m, seed):
     proc = BLOCK_PROCESSES[name]()
     cells = [(x,) * proc.group.d for x in xs]
     k = process.alphabet_size(proc)
+    assume(k ** len(cells) < 2**62)  # codes past that are a BudgetError
     draws = process.sample_many(proc, cells, m, seed)
     weights = k ** np.arange(len(cells) - 1, -1, -1, dtype=np.int64)
     np.testing.assert_array_equal(process.sample_codes(proc, cells, m, seed), draws @ weights)

@@ -259,6 +259,43 @@ def test_sample_codes_budget():
         process.sample_codes(fair_line(), [(i,) for i in range(62)], 1, seed=0)
 
 
+@pytest.mark.parametrize("variant", ["bernoulli", "markov"])
+@pytest.mark.parametrize("alphabet", [[[0], [1]], ({}, "b"), ("a", "a"), ("a",), 5])
+def test_alphabet_must_be_distinct_hashable_symbols(variant, alphabet):
+    with pytest.raises(InputError, match="alphabet must be 2 distinct hashable symbols"):
+        if variant == "bernoulli":
+            Bernoulli(LINE, (0.5, 0.5), alphabet=alphabet)
+        else:
+            MarkovLine(transition=FLIP, alphabet=alphabet)
+
+
+@pytest.mark.parametrize("which", ["bernoulli", "markov", "overlay"])
+def test_draws_on_no_cells(which):
+    spec = {
+        "bernoulli": fair_line(),
+        "markov": flip_chain(),
+        "overlay": PeriodicOverlay(base=fair_line(), period=(3,)),
+    }[which]
+    got = process.sample_many(spec, np.zeros((0, 1), dtype=np.int64), 5, seed=1)
+    assert got.shape == (5, 0) and got.dtype == np.int64
+    assert process.sample_codes(spec, [], 5, seed=1).tolist() == [0] * 5
+
+
+def test_nested_overlay_sample_many_matches_reference():
+    overlay = OVERLAYS["nested"]
+    cells = [(x,) for x in (5, -2, 0, 11, 7)]
+
+    def bernoulli(cs, count, s):
+        return oracles.bernoulli_sample_many((0.5, 0.5), count, len(cs), s)
+
+    def inner(cs, count, s):
+        return oracles.overlay_sample_many(bernoulli, (3,), cs, count, s)
+
+    for m, seed in ((1, 0), (300, 12)):
+        want = oracles.overlay_sample_many(inner, (4,), cells, m, seed)
+        np.testing.assert_array_equal(process.sample_many(overlay, cells, m, seed), want)
+
+
 def test_stationary_distribution_solver():
     P = np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]])
     pi = process.stationary_distribution(P)
