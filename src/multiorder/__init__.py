@@ -29,7 +29,6 @@ from .orders import (
 )
 from .tiling import (
     Address,
-    StraightnessReport,
     TilingSystemSpec,
     ValidationReport,
     builtin,
@@ -38,7 +37,6 @@ from .tiling import (
     sample_address,
     sample_straight_address,
     speedup,
-    straight_check,
     validate_spec,
 )
 from .folner import (

@@ -18,6 +18,7 @@ strict sampling.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -143,6 +144,9 @@ def _cmd_tiling_dump(args) -> int:
 
 def _cmd_tiling_validate(args) -> int:
     spec = tiling.builtin(args.name)
+    for label in spec.rules(args.level) if args.level > 0 else ():
+        with contextlib.suppress(InputError):  # an unknown child has no size; reported below
+            tiling.check_curve_budget(spec, args.level, label)
     report = tiling.validate_spec(spec, args.level)
     payload = {"name": args.name, "ok": report.ok, **dataclasses.asdict(report)}
     _write_text(_dump_json(payload), args.output)

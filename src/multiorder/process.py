@@ -29,7 +29,7 @@ smallest unsigned dtype, so the estimators never build the symbol array.
 Exact laws read one law tensor (one axis per cell) for Bernoulli and the
 chain; the overlay's marker at any one cell fixes its phase, so its marker
 entropy needs no phase table.  ``exact_conditional_entropy`` covers all
-three variants at any depth.
+three variants at any depth, and ``exact_entropy_rate`` is its one-step case.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ class PeriodicOverlay:
         per = tuple(groups.exact_int(p, "period entry") for p in per)
         if any(p < 1 for p in per) or not per:
             raise InputError(f"period entries must be >= 1: {per}")
-        if len(per) != self.base.group.d:
+        if len(per) != _group(self.base).d:
             raise DimensionMismatchError(
                 f"period {per} has length {len(per)}, group dimension is {self.base.group.d}"
             )
@@ -235,8 +235,15 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
+def _group(spec) -> GroupSpec:
+    """The group of a process spec; InputError for anything that is not one."""
+    if not isinstance(spec, (Bernoulli, MarkovLine, PeriodicOverlay)):
+        raise InputError(f"unknown process variant {type(spec).__name__}")
+    return spec.group
+
+
 def _check_cells(spec, cells) -> np.ndarray:
-    arr = groups.as_cell_array(spec.group, cells)
+    arr = groups.as_cell_array(_group(spec), cells)
     if count_distinct_rows(arr) != len(arr):
         raise InputError("cells must be distinct")
     return arr
@@ -267,7 +274,7 @@ def inverse_cdf(cdf, u):
 def _draw(spec, cs, m: int, seed) -> np.ndarray:
     """The symbols of m draws on the cells cs: one (len(cs), m) matrix
     whose rows follow the cell order, in the smallest unsigned dtype that
-    holds the alphabet (int64 for an overlay)."""
+    holds the alphabet (int64 for an overlay); spec is a checked variant."""
     if isinstance(spec, Bernoulli):
         return inverse_cdf(choice_cdf(spec.probs), make_rng(seed).random((m, len(cs)))).T
     if isinstance(spec, MarkovLine):
@@ -282,15 +289,16 @@ def _draw(spec, cs, m: int, seed) -> np.ndarray:
             for th in _thresholds(spec.transition, xs[c] - xs[c - 1]):
                 row += u[c] > th.take(prev)
         return out
-    if isinstance(spec, PeriodicOverlay):
-        phase_seed, base_seed = spawn_seeds(seed, 2)
-        rng = make_rng(phase_seed)
-        phases = np.stack(
-            [rng.integers(0, p, size=m, dtype=np.int64) for p in spec.period], axis=1
-        )
-        return (_draw(spec.base, cs, m, base_seed) * np.int64(math.prod(spec.period))
-                + _markers(spec, cs, phases).T)
-    raise InputError(f"unknown process variant {type(spec).__name__}")
+    phase_seed, base_seed = spawn_seeds(seed, 2)
+    rng = make_rng(phase_seed)
+    phases = np.stack(
+        [rng.integers(0, p, size=m, dtype=np.int64) for p in spec.period], axis=1
+    )
+    out = _draw(spec.base, cs, m, base_seed) * np.int64(math.prod(spec.period))
+    # one cell's markers at a time: no (m, n) marker array or temporaries
+    for row, cell in zip(out, cs):
+        row += _markers(spec, cell, phases)[:, 0]
+    return out
 
 
 @functools.lru_cache(maxsize=1024)
@@ -390,16 +398,14 @@ def _entropy_bits(p: np.ndarray) -> float:
 
 
 def exact_entropy_rate(spec) -> float:
-    """Per-cell entropy in bits; the overlay's marker adds zero."""
-    if isinstance(spec, Bernoulli):
-        return _entropy_bits(np.asarray(spec.probs))
-    if isinstance(spec, MarkovLine):
-        P = spec.matrix
-        pi = np.asarray(spec.initial)
-        return float(sum(pi[i] * _entropy_bits(P[i]) for i in range(len(pi))))
-    if isinstance(spec, PeriodicOverlay):
-        return exact_entropy_rate(spec.base)
-    raise InputError(f"unknown process variant {type(spec).__name__}")
+    """Per-cell entropy in bits: H(X_e1 | X_e), e the identity and e1 the
+    first unit step, which is the rate of every variant.  Bernoulli cells
+    are independent, so it is H(X_e).  A chain is Markov, so X_e screens off
+    the rest of the past and it is sum_i pi_i H(P_i).  An overlay's marker
+    at one cell fixes the phase, a factor of finite entropy and so of zero
+    rate, and adds nothing once X_e is given."""
+    e = groups.identity(_group(spec))
+    return exact_conditional_entropy(spec, (1, *e[1:]), [e])
 
 
 def phase_entropy(spec: PeriodicOverlay) -> float:
@@ -456,16 +462,14 @@ def exact_cylinder_law(spec, cells) -> dict:
         hit, alpha = law > 0, spec.alphabet
         keys = (tuple(alpha[i] for i in key) for key in np.argwhere(hit).tolist())
         return dict(zip(keys, law[hit].tolist()))
-    if isinstance(spec, PeriodicOverlay):
-        base_law = exact_cylinder_law(spec.base, cs)
-        # one distinct marker row per phase (the one empty row on no cells),
-        # sharing the symbols of one decoding of every marker
-        marks = _marker_symbols(spec, np.arange(math.prod(spec.period)))
-        rows = list(zip(*([marks[i] for i in col] for col in _markers(spec, cs).T.tolist())))
-        rows = rows or [()]
-        mp = 1.0 / len(rows)
-        return {tuple(zip(bkey, mkey)): bp * mp for bkey, bp in base_law.items() for mkey in rows}
-    raise InputError(f"unknown process variant {type(spec).__name__}")
+    base_law = exact_cylinder_law(spec.base, cs)
+    # one distinct marker row per phase (the one empty row on no cells),
+    # sharing the symbols of one decoding of every marker
+    marks = _marker_symbols(spec, np.arange(math.prod(spec.period)))
+    rows = list(zip(*([marks[i] for i in col] for col in _markers(spec, cs).T.tolist())))
+    rows = rows or [()]
+    mp = 1.0 / len(rows)
+    return {tuple(zip(bkey, mkey)): bp * mp for bkey, bp in base_law.items() for mkey in rows}
 
 
 def exact_conditional_entropy(spec, target, conditioners) -> float:
@@ -488,7 +492,5 @@ def exact_conditional_entropy(spec, target, conditioners) -> float:
         near = np.r_[t, np.sort(xs[xs < t])[-1:], np.sort(xs[xs > t])[:1]]
         law = _law_tensor(spec, near.reshape(-1, 1))
         return _entropy_bits(law) - _entropy_bits(law.sum(axis=0))
-    if isinstance(spec, PeriodicOverlay):
-        return (exact_conditional_entropy(spec.base, tgt, conds)
-                + (0.0 if len(conds) else phase_entropy(spec)))
-    raise InputError(f"unknown process variant {type(spec).__name__}")
+    return (exact_conditional_entropy(spec.base, tgt, conds)
+            + (0.0 if len(conds) else phase_entropy(spec)))

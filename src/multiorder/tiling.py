@@ -25,9 +25,9 @@ once, on construction, recording per level the central tile's label,
 offset and size and the identity's rank in it.  window(addr, p, f) slices
 order positions -p..f from the curve of the lowest central tile holding
 them, at any level up to 63; expand is the window over the whole top tile.
-Addresses whose top digits keep selecting the first (or last) child forever
-correspond to degenerate orders; straight_check reports the truncated
-statistics, and samplers reject them by an anchor rank of 0 or size - 1.
+An address whose digits all pick the first (or last) child gives a
+degenerate order, with the identity at rank 0 (or size - 1) of the top
+tile; samplers read straightness off that anchor rank.
 """
 
 from __future__ import annotations
@@ -222,7 +222,6 @@ class _Walk(NamedTuple):
 
     labels: tuple  # central-tile label at levels L, L-1, ..., 0
     offsets: np.ndarray  # (L + 1, d): row i sums the first i chosen offsets
-    arities: tuple  # rule arity at levels L, ..., 1
     ranks: tuple  # identity's curve rank in the central tile at levels L, ..., 0
     sizes: tuple  # curve length of the central tile at levels L, ..., 0
 
@@ -250,7 +249,7 @@ class Address:
             )
         if any(type(d) is bool or not isinstance(d, (int, np.integer)) for d in self.digits):
             raise InputError(f"address digits must be ints, got {self.digits!r}")
-        labels, arities, starts, sizes = [self.top], [], [], []
+        labels, starts, sizes = [self.top], [], []
         steps = np.zeros((self.level + 1, self.spec.group.d), dtype=np.int64)
         for pos, k in enumerate(range(self.level, 0, -1)):
             child_labels, offsets, child_ranks = self.spec.children(k, labels[-1])
@@ -261,28 +260,12 @@ class Address:
                     f"digit d_{k} = {d} out of range 1..{arity} for shape {labels[-1]!r}"
                 )
             labels.append(child_labels[d - 1])
-            arities.append(arity)
             steps[pos + 1] = offsets[d - 1]
             starts.append(child_ranks[d - 1])
             sizes.append(child_ranks[-1])
         ranks = tuple(accumulate(reversed(starts), initial=0))[::-1]
         object.__setattr__(self, "_walk", _Walk(tuple(labels), steps.cumsum(axis=0),
-                                                tuple(arities), ranks, (*sizes, 1)))
-
-
-@dataclass(frozen=True)
-class StraightnessReport:
-    """Top-run statistics of an address's digit sequence.
-
-    all_first_suffix_len counts how many consecutive levels, from the top
-    down, pick the first child; all_last_suffix_len does the same for the
-    last child.  The address is straight up to its level iff neither run
-    covers every digit.
-    """
-
-    all_first_suffix_len: int
-    all_last_suffix_len: int
-    straight_up_to_level: bool
+                                                ranks, (*sizes, 1)))
 
 
 @dataclass(frozen=True)
@@ -390,14 +373,6 @@ def sample_address(spec: TilingSystemSpec, level: int, seed) -> Address:
         digits.append(d)
         label = child_labels[d - 1]
     return Address(spec, level, top, tuple(digits))
-
-
-def straight_check(addr: Address) -> StraightnessReport:
-    L = addr.level
-    first_run = next((i for i, d in enumerate(addr.digits) if d != 1), L)
-    last_run = next((i for i, (d, a) in enumerate(zip(addr.digits, addr._walk.arities))
-                     if d != a), L)
-    return StraightnessReport(first_run, last_run, first_run < L and last_run < L)
 
 
 def anchor_rank(addr: Address) -> int:

@@ -80,6 +80,17 @@ def markov_rate(P) -> float:
     return float(sum(pi[i] * entropy_bits(P[i]) for i in range(len(pi))))
 
 
+def digit_runs(digits, arities) -> tuple:
+    """The digit-run definition of a straight address: how many levels, from
+    the top down, pick the first child, how many pick the last (arities[i]
+    children at the i-th level from the top), and whether neither run
+    covers every digit."""
+    level = len(digits)
+    first = next((i for i, d in enumerate(digits) if d != 1), level)
+    last = next((i for i, (d, a) in enumerate(zip(digits, arities)) if d != a), level)
+    return first, last, first < level and last < level
+
+
 def validate_spec(spec, max_level: int) -> list:
     """The tuple reference for tiling.validate_spec, on any object with
     group.d, shapes(k) -> {label: cells} and rules(k) -> {label: ((child

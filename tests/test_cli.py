@@ -118,6 +118,22 @@ def test_tiling_validate(tmp_path, capsys):
     assert "config/input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, level", [("hilbert", 12), ("dyadic_standard", 23)])
+def test_tiling_validate_over_budget_builds_no_shape(monkeypatch, capsys, name, level):
+    spec = tiling.builtin(name)
+
+    def no_shapes(k):
+        raise AssertionError(f"shapes requested at level {k}")
+
+    spec._shapes_fn = no_shapes
+    monkeypatch.setattr(tiling, "builtin", lambda _: spec)
+    assert cli.main(["tiling", "validate", "--name", name, "--level", str(level)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: level-{level} shape ")
+    # one level lower is within the budget, and validate_spec builds its shapes
+    with pytest.raises(AssertionError, match="shapes requested at level 0"):
+        cli.main(["tiling", "validate", "--name", name, "--level", str(level - 1)])
+
+
 def test_tiling_validate_payload_for_a_broken_spec(monkeypatch, capsys, data_dir):
     # A missing identity, overlapping children and an unknown child.
     shapes = {0: {"o": [(0,)]}, 1: {"A": [(1,), (2,)], "B": [(0,), (1,)]},
@@ -307,7 +323,7 @@ def test_public_names_are_pinned():
         "GroupSpec", "IncrementWindow", "InputError", "InvalidIncrementsError",
         "InvarianceRecord", "MarkovLine", "MultiorderError", "OrderRanking",
         "OrderWindow", "OutOfWindowError", "PeriodicOverlay", "ShearerResult",
-        "StraightnessReport", "SuccessorConsistencyReport", "TilingSystemSpec",
+        "SuccessorConsistencyReport", "TilingSystemSpec",
         "UniformAuditResult", "ValidationReport", "act", "audit_intervals",
         "block_entropy_along_order", "box", "builtin", "central_tile", "compare",
         "compose", "cond_entropy_along_order", "decode", "element", "encode",
@@ -317,7 +333,7 @@ def test_public_names_are_pinned():
         "interval_growth", "invariance_ratio", "inverse", "make_frame",
         "mc_integral", "orders", "phase_entropy", "plugin_entropy", "process",
         "remote_past_mi", "sample", "sample_address", "sample_many",
-        "sample_straight_address", "shearer_check", "speedup", "straight_check",
+        "sample_straight_address", "shearer_check", "speedup",
         "succ", "successor_consistency", "successor_step", "tiling",
         "to_increments", "uniform_audit", "unit_cross", "util", "validate_spec",
     ]

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiorder import groups, orders, tiling
 from multiorder.errors import InputError, InvalidIncrementsError, OutOfWindowError
@@ -232,3 +236,52 @@ def test_window_json_rejects_gaps():
     obj["cells"] = obj["cells"][:-1]
     with pytest.raises(InputError):
         OrderWindow.from_json(obj)
+
+
+@st.composite
+def injective_windows(draw):
+    """Any injective window on Z or Z^2: distinct cells of a small box in
+    any order, anchored at any position (every cell translated so that the
+    anchor's cell is the identity)."""
+    group = draw(st.sampled_from([LINE, GRID]))
+    cells = draw(st.lists(st.tuples(*[st.integers(-5, 5)] * group.d),
+                          min_size=1, max_size=16, unique=True))
+    anchor = draw(st.integers(0, len(cells) - 1))
+    rows = np.array(cells, dtype=np.int64) - np.array(cells[anchor], dtype=np.int64)
+    return OrderWindow(group, -anchor, len(cells) - 1 - anchor, rows.tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(w=injective_windows())
+def test_increments_and_json_round_trip_on_any_window(w):
+    iw = orders.to_increments(w)
+    for i in range(w.lo, w.hi):
+        assert groups.compose(w.group, iw.incr(i), w.cell(i)) == w.cell(i + 1)
+    assert orders.from_increments(iw) == w
+    assert OrderWindow.from_json(json.loads(json.dumps(w.to_json()))) == w
+    assert IncrementWindow.from_json(json.loads(json.dumps(iw.to_json()))) == iw
+
+
+@settings(max_examples=150, deadline=None)
+@given(w=injective_windows(), data=st.data())
+def test_act_cocycle_on_any_window(w, data):
+    k = data.draw(st.integers(w.lo, w.hi), label="k")
+    m = data.draw(st.integers(w.lo - k, w.hi - k), label="m")
+    moved = orders.act(w, w.cell(k))
+    assert (moved.lo, moved.hi) == (w.lo - k, w.hi - k)
+    assert orders.act(moved, moved.cell(m)) == orders.act(w, w.cell(k + m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(w=injective_windows(), data=st.data())
+def test_compare_and_succ_follow_positions_on_any_window(w, data):
+    i = data.draw(st.integers(w.lo, w.hi), label="i")
+    j = data.draw(st.integers(w.lo, w.hi), label="j")
+    a, b = w.cell(i), w.cell(j)
+    assert orders.compare(w, a, b) is Comparison((i > j) - (i < j))
+    assert orders.compare(w, b, a).value == -orders.compare(w, a, b).value
+    if i < w.hi:
+        assert orders.succ(w, a) == w.cell(i + 1)
+    else:
+        with pytest.raises(OutOfWindowError):
+            orders.succ(w, a)

@@ -319,6 +319,21 @@ def test_exact_entropy_rates():
     )
     overlay = PeriodicOverlay(base=b, period=(2,))
     assert process.exact_entropy_rate(overlay) == process.exact_entropy_rate(b)
+    assert process.exact_entropy_rate(MarkovLine(transition=THREE)) == pytest.approx(
+        oracles.markov_rate(THREE), abs=1e-12
+    )
+    grid = Bernoulli(GRID, (0.2, 0.3, 0.5))
+    assert process.exact_entropy_rate(grid) == pytest.approx(
+        oracles.entropy_bits([0.2, 0.3, 0.5]), abs=1e-12
+    )
+    innermost = {"line": oracles.markov_rate(THREE), "grid": oracles.entropy_bits([0.2, 0.3, 0.5]),
+                 "nested": oracles.entropy_bits([0.5, 0.5])}
+    for name, overlay in OVERLAYS.items():
+        assert process.exact_entropy_rate(overlay) == pytest.approx(innermost[name], abs=1e-12)
+    with pytest.raises(InputError, match="unknown process variant"):
+        process.exact_entropy_rate(object())
+    with pytest.raises(InputError, match="unknown process variant"):
+        process.exact_conditional_entropy(object(), 0, [])
 
 
 def test_exact_conditional_entropy_flip_chain():

@@ -282,20 +282,25 @@ def test_address_validation():
     assert Address(spec, 2, "I", (np.int64(2), 1)).digits == (2, 1)
 
 
+def rule_arities(addr) -> list:
+    """The rule arity of the central tile at levels L, ..., 1."""
+    return [len(addr.spec.children(k, label)[0])
+            for k, label in zip(range(addr.level, 0, -1), addr._walk.labels)]
+
+
+def rank_is_straight(addr) -> bool:
+    """The package's straightness test, as sample_straight_address applies it."""
+    return 0 < tiling.anchor_rank(addr) < addr._walk.sizes[0] - 1
+
+
 def test_straight_check_runs():
     spec = tiling.builtin("dyadic_standard")
-    all_first = Address(spec, 5, "I", (1, 1, 1, 1, 1))
-    rep = tiling.straight_check(all_first)
-    assert rep.all_first_suffix_len == 5
-    assert not rep.straight_up_to_level
-    all_last = Address(spec, 5, "I", (2, 2, 2, 2, 2))
-    rep = tiling.straight_check(all_last)
-    assert rep.all_last_suffix_len == 5
-    assert not rep.straight_up_to_level
-    mixed = Address(spec, 5, "I", (1, 1, 2, 1, 1))
-    rep = tiling.straight_check(mixed)
-    assert (rep.all_first_suffix_len, rep.all_last_suffix_len) == (2, 0)
-    assert rep.straight_up_to_level
+    for digits, runs in (((1, 1, 1, 1, 1), (5, 0, False)), ((2, 2, 2, 2, 2), (0, 5, False)),
+                         ((1, 1, 2, 1, 1), (2, 0, True))):
+        addr = Address(spec, 5, "I", digits)
+        assert rule_arities(addr) == [2] * 5
+        assert oracles.digit_runs(digits, rule_arities(addr)) == runs
+        assert rank_is_straight(addr) == runs[2]
 
 
 def fibonacci_spec(max_level: int) -> TilingSystemSpec:
@@ -326,7 +331,7 @@ def all_addresses(spec, level):
             yield Address(spec, level, top, digits)
 
 
-def test_straightness_is_read_off_the_anchor_rank(builtins, monkeypatch):
+def test_straightness_is_read_off_the_anchor_rank(builtins):
     systems = [(builtins["dyadic_standard"], 8), (builtins["dyadic_alternating"], 8),
                (builtins["hilbert"], 4), (fibonacci_spec(8), 8)]
     assert tiling.validate_spec(systems[-1][0], 8).ok
@@ -334,19 +339,15 @@ def test_straightness_is_read_off_the_anchor_rank(builtins, monkeypatch):
     for spec, top_level in systems:
         for level in range(1, top_level + 1):
             for addr in all_addresses(spec, level):
-                rank, size = tiling.anchor_rank(addr), addr._walk.sizes[0]
-                assert tiling.straight_check(addr).straight_up_to_level == (0 < rank < size - 1)
+                straight = oracles.digit_runs(addr.digits, rule_arities(addr))[2]
+                assert straight == rank_is_straight(addr)
                 checked += 1
     assert checked == 2608
 
-    def no_check(addr):
-        raise AssertionError("sample_straight_address called straight_check")
-
-    monkeypatch.setattr(tiling, "straight_check", no_check)
     for spec, _ in systems:
         for seed in range(10):  # at level 2 a quarter or more of the draws are not straight
             addr, _ = tiling.sample_straight_address(spec, 2, seed)
-            assert 0 < tiling.anchor_rank(addr) < addr._walk.sizes[0] - 1
+            assert oracles.digit_runs(addr.digits, rule_arities(addr))[2] and rank_is_straight(addr)
 
 
 def test_whole_tile_over_the_budget_raises_before_building(builtins):
@@ -377,8 +378,8 @@ def test_top_run_length_distribution(builtins):
     hits = 0
     for i in range(samples):
         addr = tiling.sample_address(spec, 20, seed=np.random.SeedSequence((8, i)))
-        rep = tiling.straight_check(addr)
-        if rep.all_first_suffix_len >= 10 or rep.all_last_suffix_len >= 10:
+        first, last, _ = oracles.digit_runs(addr.digits, rule_arities(addr))
+        if first >= 10 or last >= 10:
             hits += 1
     bound = 2 * 2**-10
     assert hits / samples <= bound + 3 * np.sqrt(bound / samples)
@@ -413,7 +414,7 @@ def test_sample_straight_address_honors_margins(builtins):
         addr, retries = tiling.sample_straight_address(
             spec, level, seed=13, need_past=20, need_future=20
         )
-        assert tiling.straight_check(addr).straight_up_to_level
+        assert oracles.digit_runs(addr.digits, rule_arities(addr))[2] and rank_is_straight(addr)
         w = tiling.expand(addr)
         assert w.lo <= -20 and w.hi >= 20
         again, _ = tiling.sample_straight_address(
@@ -578,12 +579,8 @@ def test_address_walk_matches_tuple_oracle(walked):
             assert cells <= outer
         outer = cells
 
-    rep = tiling.straight_check(addr)
-    first = next((i for i, d in enumerate(addr.digits) if d != 1), level)
-    last = next((i for i, (d, a) in enumerate(zip(addr.digits, arities)) if d != a),
-                level)
-    assert (rep.all_first_suffix_len, rep.all_last_suffix_len) == (first, last)
-    assert rep.straight_up_to_level == (first < level and last < level)
+    assert rule_arities(addr) == arities
+    assert oracles.digit_runs(addr.digits, arities)[2] == rank_is_straight(addr)
 
 
 def test_sampling_path_never_builds_shapes():
