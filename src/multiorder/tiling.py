@@ -7,16 +7,16 @@ shapes.  Level 0 holds the single singleton shape.  Expanding a level-L
 shape by recursively concatenating child expansions in rule order lays the
 shape's cells on a discrete curve; the built-in systems are two dyadic
 interval systems on the line and the Hilbert-curve square system on the
-plane.
+plane; builtin(name) gives one shared, read-only spec per name per process.
 
 Both tables are plain dicts keyed by label: a shape table maps each label
 to its cells, a rule table maps each label to its ordered (child label,
-offset) pairs.  A spec holds a shape's cells as one (n, d) int64 array of
-sorted rows.  Each spec also caches one child table per (level, label):
-child labels, an (arity, d) int64 offset array and each child's start rank,
-the prefix sums of the child sizes, summed over the child tables below.
-Curves are built from it too, so drawing an address builds no curve and
-reads no shape table.
+offset) pairs.  A spec hands them out read-only and holds a shape's cells
+as one (n, d) int64 array of sorted rows.  Each spec also caches one child
+table per (level, label): child labels, an (arity, d) int64 offset array
+and each child's start rank, the prefix sums of the child sizes, summed
+over the child tables below.  Curves are built from it too, so drawing an
+address builds no curve and reads no shape table.
 
 An address fixes a level-L top shape together with one digit per level
 selecting the central subtile, which pins where the identity sits inside
@@ -32,8 +32,10 @@ tile; samplers read straightness off that anchor rank.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import accumulate
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -86,9 +88,9 @@ class TilingSystemSpec:
         if self.max_level is not None and k > self.max_level:
             raise InputError(f"level {k} exceeds known levels (max {self.max_level})")
 
-    def shapes(self, k: int) -> dict:
-        """The level-k shape table (k >= 0) as {label: read-only (n, d) int64
-        array of the distinct cells, rows in lexicographic order}."""
+    def shapes(self, k: int) -> MappingProxyType:
+        """The level-k shape table (k >= 0) as a read-only {label: read-only
+        (n, d) int64 array of the distinct cells, rows in lexicographic order}."""
         self._check_level(k, 0)
         if k not in self._shapes_cache:
             table = self._shapes_fn(k)
@@ -97,14 +99,16 @@ class TilingSystemSpec:
                       for cells in table.values()}
             arrays = {key: groups.read_only(rows[group_keys(row_codes(rows))[0]])
                       for key, rows in arrays.items()}
-            self._shapes_cache[k] = {lab: arrays[id(cells)] for lab, cells in table.items()}
+            self._shapes_cache[k] = MappingProxyType(
+                {lab: arrays[id(cells)] for lab, cells in table.items()})
         return self._shapes_cache[k]
 
-    def rules(self, k: int) -> dict:
-        """The level-k rule table (k >= 1): {label: ((child label, offset), ...)}."""
+    def rules(self, k: int) -> MappingProxyType:
+        """The level-k rule table (k >= 1), read-only: {label: ((child label,
+        offset), ...)}."""
         self._check_level(k, 1)
         if k not in self._rules_cache:
-            self._rules_cache[k] = dict(self._rules_fn(k))
+            self._rules_cache[k] = MappingProxyType(dict(self._rules_fn(k)))
         return self._rules_cache[k]
 
     def rule(self, k: int, label: str) -> tuple:
@@ -528,11 +532,19 @@ _BUILTIN_NAMES = ("dyadic_standard", "dyadic_alternating", "hilbert")
 
 
 def builtin(name: str) -> TilingSystemSpec:
-    """One of: dyadic_standard, dyadic_alternating, hilbert."""
-    if name == "dyadic_standard":
-        return _dyadic_spec(name, alternating=False)
-    if name == "dyadic_alternating":
-        return _dyadic_spec(name, alternating=True)
+    """One of: dyadic_standard, dyadic_alternating, hilbert.  Each name gives
+    one shared spec for the life of the process, so every caller reuses its
+    cached child tables, top-label laws and curves; all of them are read-only."""
+    if name not in _BUILTIN_NAMES:
+        raise InputError(f"unknown tiling system {name!r}; choose from {_BUILTIN_NAMES}")
+    return _shared_builtin(name)
+
+
+def _new_builtin(name: str) -> TilingSystemSpec:
+    """A fresh spec of a built-in system, with empty caches."""
     if name == "hilbert":
         return _hilbert_spec()
-    raise InputError(f"unknown tiling system {name!r}; choose from {_BUILTIN_NAMES}")
+    return _dyadic_spec(name, alternating=name == "dyadic_alternating")
+
+
+_shared_builtin = functools.cache(_new_builtin)

@@ -120,7 +120,7 @@ def test_tiling_validate(tmp_path, capsys):
 
 @pytest.mark.parametrize("name, level", [("hilbert", 12), ("dyadic_standard", 23)])
 def test_tiling_validate_over_budget_builds_no_shape(monkeypatch, capsys, name, level):
-    spec = tiling.builtin(name)
+    spec = tiling._new_builtin(name)  # private: the patch below must not leak
 
     def no_shapes(k):
         raise AssertionError(f"shapes requested at level {k}")

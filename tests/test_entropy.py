@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -248,15 +249,15 @@ def test_successor_step_equals_act_by_cell():
         assert stepped.config == expected
 
 
-def assert_run_matches_golden(golden, tmp_path, monkeypatch):
-    """Run golden/config.json at one and two threads; every output file must
-    equal the golden copy byte for byte."""
+def assert_run_matches_golden(golden, tmp_path, monkeypatch, threads=("1", "2")):
+    """Run golden/config.json at each thread count in turn; every output file
+    must equal the golden copy byte for byte."""
     (tmp_path / "config.json").write_bytes((golden / "config.json").read_bytes())
     monkeypatch.chdir(tmp_path)
     expected = sorted(p.name for p in golden.iterdir() if p.name != "config.json")
-    for threads in ("1", "2"):
+    for count in threads:
         assert cli.main(["entropy", "run", "--config", "config.json",
-                         "--threads", threads]) == 0
+                         "--threads", count]) == 0
         produced = sorted(p.name for p in (tmp_path / "out").iterdir())
         assert produced == expected
         for name in produced:
@@ -265,6 +266,14 @@ def assert_run_matches_golden(golden, tmp_path, monkeypatch):
 
 def test_successor_report_matches_golden(tmp_path, data_dir, monkeypatch):
     assert_run_matches_golden(data_dir / "successor_golden", tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("golden", ["successor_golden", "estimators_golden"])
+def test_golden_runs_at_two_threads_on_cold_specs(golden, tmp_path, data_dir, monkeypatch):
+    # A fresh cache of built-in specs: two threads fill the child tables,
+    # top-label laws and curves together, then one thread reads them warm.
+    monkeypatch.setattr(tiling, "_shared_builtin", functools.cache(tiling._new_builtin))
+    assert_run_matches_golden(data_dir / golden, tmp_path, monkeypatch, threads=("2", "1"))
 
 
 def test_every_estimator_kind_matches_golden(tmp_path, data_dir, monkeypatch):
@@ -589,7 +598,7 @@ def test_deep_levels_build_only_the_curves_read(name, level):
     for run in (lambda spec: entropy.mc_integral(proc, spec, 12, 20, 2000, level, seed=7),
                 lambda spec: entropy.successor_consistency(proc, spec, 16, 20, 500, level,
                                                            seed=7)):
-        spec = tiling.builtin(name)
+        spec = tiling._new_builtin(name)  # cold: the shared spec keeps its curves
         report = run(spec)
         assert report.orders == 20
         assert sum(len(curve) for curve in spec._curve_cache.values()) < 65536

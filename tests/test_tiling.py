@@ -1,6 +1,10 @@
+import functools
 import hashlib
 import json
+import re
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -354,7 +358,7 @@ def test_whole_tile_over_the_budget_raises_before_building(builtins):
     with pytest.raises(BudgetError, match="more than the budget"):
         tiling.check_curve_budget(builtins["dyadic_standard"], 23, "I")
     tiling.check_curve_budget(builtins["dyadic_standard"], 22, "I")
-    spec = tiling.builtin("hilbert")
+    spec = tiling._new_builtin("hilbert")  # cold: the shared spec keeps its curves
     addr = tiling.sample_address(spec, 30, seed=2)
     with pytest.raises(BudgetError):
         tiling.expand(addr)
@@ -487,6 +491,57 @@ def test_json_round_trip(builtins):
         back.curve(4, "U")
 
 
+@pytest.mark.parametrize("name", ["penrose", ["hilbert"], None])
+def test_unknown_builtin_is_an_input_error_and_caches_nothing(name):
+    before = tiling._shared_builtin.cache_info()
+    message = f"unknown tiling system {name!r}; choose from {tiling._BUILTIN_NAMES}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        tiling.builtin(name)
+    assert tiling._shared_builtin.cache_info() == before
+
+
+@pytest.mark.parametrize("name", ["dyadic_standard", "dyadic_alternating", "hilbert"])
+def test_shared_builtin_tables_are_read_only(name):
+    spec = tiling.builtin(name)
+    assert spec is tiling.builtin(name)
+    tiling.expand(tiling.sample_address(spec, 4, seed=3))
+    tiling.top_shape_distribution(spec)
+    for k in range(1, 4):
+        shapes, rules = spec.shapes(k), spec.rules(k)
+        with pytest.raises(TypeError):
+            shapes[spec.canonical_label] = shapes[spec.canonical_label]
+        with pytest.raises(TypeError):
+            rules["new"] = ()
+    cached = {
+        "curves": list(spec._curve_cache.values()),
+        "child offsets": [offsets for _, offsets, _ in spec._children_cache.values()],
+        "top-law probs": [probs for _, probs in spec._top_law_cache.values()],
+        "shapes": [cells for table in spec._shapes_cache.values() for cells in table.values()],
+    }
+    for kind, arrays in cached.items():
+        assert arrays and not any(arr.flags.writeable for arr in arrays), kind
+
+
+def test_threads_filling_cold_shared_specs_agree(monkeypatch):
+    monkeypatch.setattr(tiling, "_shared_builtin", functools.cache(tiling._new_builtin))
+    names = ["dyadic_standard", "dyadic_alternating", "hilbert"] * 8
+
+    def windows(spec_of):
+        return [tiling.window(tiling.sample_address(spec_of(name), 12, seed), 40, 40)
+                for seed, name in enumerate(names)]
+
+    expected = windows(tiling._new_builtin)  # serially, one private spec per draw
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            got = [f.result(timeout=60) for f in
+                   [pool.submit(windows, tiling.builtin) for _ in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(run == expected for run in got)
+
+
 @pytest.mark.parametrize("case", ["missing_shape_table", "missing_rule_table",
                                   "max_level_above_tables", "rule_child_not_a_pair",
                                   "missing_top_level_key", "level_key_not_an_int",
@@ -584,7 +639,7 @@ def test_address_walk_matches_tuple_oracle(walked):
 
 
 def test_sampling_path_never_builds_shapes():
-    spec = tiling.builtin("hilbert")
+    spec = tiling._new_builtin("hilbert")  # private: the patch below must not leak
 
     def no_shapes(k):
         raise AssertionError(f"shapes requested at level {k}")
@@ -618,7 +673,7 @@ def test_window_is_a_slice_of_expand(builtins, name, level):
 
 
 def test_child_sizes_build_no_curve():
-    spec = tiling.builtin("hilbert")
+    spec = tiling._new_builtin("hilbert")  # cold: the shared spec keeps its curves
     for k in range(1, 31):
         for label in spec.rules(k):
             assert spec.children(k, label)[2][-1] == 4**k
