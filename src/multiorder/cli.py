@@ -42,11 +42,29 @@ EXIT_CONSISTENCY = 3
 EXIT_UNDERSAMPLED = 4
 
 
+def _inline_refs(node, defs: dict, inlined: tuple = ()):
+    """A copy of a schema node with each "#/$defs/<name>" $ref replaced by
+    that definition, except a ref back into a definition being inlined (the
+    overlay's base -> process); "$defs" themselves are kept as they are."""
+    if isinstance(node, list):
+        return [_inline_refs(x, defs, inlined) for x in node]
+    if not isinstance(node, dict):
+        return node
+    ref = node.get("$ref", "")
+    name = ref.removeprefix("#/$defs/")
+    if len(node) == 1 and name != ref and name not in inlined:
+        return _inline_refs(defs[name], defs, inlined + (name,))
+    return {k: v if k == "$defs" else _inline_refs(v, defs, inlined) for k, v in node.items()}
+
+
 @functools.cache
 def _config_validator():
-    """Built once (validate re-checks the schema) and only where a config is read."""
+    """Built once (validate re-checks the schema) and only where a config is
+    read, over the schema with its non-recursive refs inlined: a ref costs
+    a resolver lookup at every use."""
     import jsonschema
-    return jsonschema.Draft202012Validator(EXPERIMENT_CONFIG_SCHEMA)
+    schema = _inline_refs(EXPERIMENT_CONFIG_SCHEMA, EXPERIMENT_CONFIG_SCHEMA["$defs"])
+    return jsonschema.Draft202012Validator(schema)
 
 
 def _read_json(path: str):

@@ -318,7 +318,7 @@ def successor_consistency(proc, spec: tiling.TilingSystemSpec, j: int,
         frame = make_frame(proc, w, child_seed(s, 1))
         cells_stepped = np.zeros_like(cells_direct)  # the anchor row stays e
         for p in range(j - 1, -1, -1):
-            cells_stepped[p] = cells_stepped[p + 1] + frame.window.cell(-1)
+            cells_stepped[p] = cells_stepped[p + 1] + frame.window.rows(-1, -1)[0]
             frame = successor_step(frame, -1)
 
         bad = np.nonzero((cells_direct != cells_stepped).any(axis=1))[0]

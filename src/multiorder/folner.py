@@ -5,7 +5,9 @@ collections are coerced in bulk by ``groups.as_cell_array``), set sizes
 are distinct-row counts, and all ratios are exact ``fractions.Fraction``
 values.  Every ratio comes from one kernel, ``_ratios``, which sorts the
 row codes of a stack of equal-size sets in one call: one sort per tile
-size in ``full_tile_records``, one per set elsewhere.
+size in ``full_tile_records``, one per set elsewhere.  The codes of KF are
+F's narrow box codes plus each k's offset, so no KF cell is built unless
+the box reaches 2^62 cells.
 Two length conventions coexist and are documented per function:
 ``audit_intervals`` takes the position span n of the interval [0, n] (n+1
 cells), while ``uniform_audit`` and the full-tile helpers take cell counts
@@ -14,6 +16,7 @@ cells), while ``uniform_audit`` and the full-tile helpers take cell counts
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +26,7 @@ from . import groups, tiling
 from .errors import InputError, OutOfWindowError
 from .groups import GroupSpec
 from .orders import OrderWindow
-from .util import count_distinct_rows, group_keys, row_codes, spawn_seeds
+from .util import box_codes, count_distinct_rows, group_keys, row_codes, spawn_seeds
 
 
 def unit_cross(spec: GroupSpec) -> np.ndarray:
@@ -33,22 +36,53 @@ def unit_cross(spec: GroupSpec) -> np.ndarray:
     return groups.read_only(np.concatenate([np.zeros_like(eye[:1]), eye, -eye]))
 
 
+def _flagged_codes(Fs: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Row codes of KF ++ F for each F of a (t, s, d) stack, doubled, plus
+    one on F: a (t, (|K|+1)s) array, equal codes exactly for equal cells of
+    one set.
+
+    Each F is packed once over the bounding box of KF and F (F's box
+    widened by min(K, 0) and max(K, 0)), in min_scalar_type(2P - 1) for a
+    box of P cells.  The mixed radix is linear inside the box, so k·f's
+    code is f's plus k's offset (sum of k_c times radix_c): one broadcast
+    add per k, exact modulo 2^bits as in ``box_codes``.  A box of 2^62
+    cells or more, past ``row_codes``' packing, takes the explicit cells.
+    """
+    t, s, d = Fs.shape
+    groups.check_sums(K, Fs)
+    flat = Fs.reshape(-1, d)
+    lo = [int(flat[:, c].min()) + min(int(K[:, c].min()), 0) for c in range(d)]
+    hi = [int(flat[:, c].max()) + max(int(K[:, c].max()), 0) for c in range(d)]
+    ranges = [h - m + 1 for h, m in zip(hi, lo)]
+    size = math.prod(ranges)
+    if size >= 2**62:
+        kf = K[None, :, None, :] + Fs[:, None, :, :]
+        codes = row_codes(np.concatenate([kf, Fs[:, None]], axis=1).reshape(-1, d))
+        codes = codes.reshape(t, -1, s)
+    else:
+        dtype = np.min_scalar_type(2 * size - 1)
+        radix = np.array([math.prod(ranges[c + 1:]) for c in range(d)], dtype=np.uint64)
+        offsets = (K.astype(np.uint64) @ radix).astype(dtype)  # exact modulo 2^64
+        f = box_codes(flat, lo, ranges, dtype).reshape(t, 1, s)
+        codes = np.empty((t, len(K) + 1, s), dtype=dtype)
+        np.add(f, offsets[:, None], out=codes[:, :-1])
+        codes[:, -1:] = f
+    codes <<= 1
+    codes[:, -1] += 1
+    return codes.reshape(t, -1)
+
+
 def _ratios(Fs: np.ndarray, K: np.ndarray) -> list[Fraction]:
     """|KF symmetric-difference F| / |F| exactly, for each F of a (t, s, d)
     stack of equal-size cell sets; repeated cells count once.
 
-    The row codes of all of KF ++ F come from one ``row_codes`` call,
-    doubled, plus one on F.  Sorting each set's row of codes gives one run
-    per cell, its even code (from KF) first; |KF symmetric-difference F| is
-    the runs, less those ending odd (in F), plus those starting odd.
+    Sorting each set's row of ``_flagged_codes`` gives one run per cell,
+    its even code (from KF) first; |KF symmetric-difference F| is the runs,
+    less those ending odd (in F), plus those starting odd.
     """
     if not len(K):
         raise InputError("K must be nonempty")
-    t, s, d = Fs.shape
-    kf = groups.add_cells(K[None, :, None, :], Fs[:, None, :, :]).reshape(t, -1, d)
-    codes = row_codes(np.concatenate([kf, Fs], axis=1).reshape(-1, d)).reshape(t, -1)
-    codes <<= 1
-    codes[:, kf.shape[1]:] += 1
+    codes = _flagged_codes(Fs, K)
     codes.sort(axis=1)
     odd = (codes & 1).astype(bool)
     codes >>= 1

@@ -136,12 +136,18 @@ def cell_tuples(arr: np.ndarray) -> list[Element]:
     return list(zip(*arr.T.tolist()))
 
 
-def add_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a + b on int64 cell arrays (broadcast), raising InputError where a
-    coordinate sum could leave int64 instead of letting numpy wrap it."""
+def check_sums(a: np.ndarray, b: np.ndarray) -> None:
+    """InputError where a coordinate of a plus one of b could leave int64."""
     if (int(a.min(initial=0)) + int(b.min(initial=0)) < -2**63
             or int(a.max(initial=0)) + int(b.max(initial=0)) >= 2**63):
         raise InputError("sums of cell coordinates must fit in int64")
+
+
+def add_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b on int64 cell arrays (broadcast), raising InputError where a
+    coordinate sum could leave int64 (``check_sums``) instead of letting
+    numpy wrap it."""
+    check_sums(a, b)
     return a + b
 
 

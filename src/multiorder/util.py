@@ -1,5 +1,9 @@
 """Small shared helpers: seeded RNG plumbing, exact integer row packing and
-grouping equal keys."""
+grouping equal keys.
+
+Packed row codes, like ``process.sample_codes``' block codes, come in the
+smallest unsigned dtype that holds the code space (``np.min_scalar_type``),
+so sorting them moves no more bytes than the codes need."""
 
 from __future__ import annotations
 
@@ -45,31 +49,47 @@ def spawn_seeds(seed, n: int) -> list:
     return [child_seed(seed, i) for i in range(n)]
 
 
-def pack_rows(arr: np.ndarray):
-    """Injectively encode integer rows as int64 scalars, or None on overflow.
+def box_codes(arr: np.ndarray, lo, ranges, dtype) -> np.ndarray:
+    """Mixed-radix codes of the rows of an (n, d) int64 array lying in the
+    box lo + [0, ranges) (Python ints per column, last column least
+    significant), in an unsigned dtype that holds every code.
 
-    Packing is exact (mixed-radix over per-column ranges, last column least
-    significant), so equality of codes is equality of rows.  Built in place:
-    a wrap past 2^63 in ``+= col`` is undone by ``-= m`` (codes are < 2^62).
+    Built in place in dtype: unsigned arithmetic is exact modulo 2^bits and
+    every final code is below prod(ranges), so a wrap of a partial code (or
+    of a column cast to dtype) is undone by the end.
+    """
+    wrap = 1 << 8 * np.dtype(dtype).itemsize
+    codes, base = arr[:, 0].astype(dtype), lo[0]
+    for c in range(1, len(lo)):
+        codes *= ranges[c] % wrap
+        codes += arr[:, c].astype(dtype)
+        base = base * ranges[c] + lo[c]
+    codes -= base % wrap
+    return codes
+
+
+def pack_rows(arr: np.ndarray):
+    """Injectively encode integer rows as codes of the smallest unsigned dtype
+    holding prod(ranges) - 1, or None when prod(ranges) reaches 2^62.
+
+    Packing is exact (``box_codes`` over the rows' bounding box: mixed radix
+    over per-column ranges), so equality of codes is equality of rows.
     """
     arr = np.asarray(arr, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[0] == 0:
         return None
     cols = [arr[:, c] for c in range(arr.shape[1])]
-    mins = [int(col.min()) for col in cols]
-    ranges = [int(col.max()) - m + 1 for col, m in zip(cols, mins)]
-    if math.prod(ranges) >= 2**62:
+    lo = [int(col.min()) for col in cols]
+    ranges = [int(col.max()) - m + 1 for col, m in zip(cols, lo)]
+    size = math.prod(ranges)
+    if size >= 2**62:
         return None
-    codes = cols[0] - mins[0]
-    for col, m, r in zip(cols[1:], mins[1:], ranges[1:]):
-        codes *= r
-        codes += col
-        codes -= m
-    return codes
+    return box_codes(arr, lo, ranges, np.min_scalar_type(size - 1))
 
 
 def row_codes(arr: np.ndarray) -> np.ndarray:
-    """Int64 codes below 2^62, equal exactly when rows are (packed, else np.unique's inverse)."""
+    """Codes equal exactly when rows are: ``pack_rows``' narrow unsigned
+    codes, else (a code space of 2^62 or more) np.unique's int64 inverse."""
     codes = pack_rows(arr)
     if codes is None:
         codes = np.unique(np.asarray(arr, dtype=np.int64), axis=0, return_inverse=True)[1]
@@ -77,8 +97,9 @@ def row_codes(arr: np.ndarray) -> np.ndarray:
 
 
 def count_distinct_rows(arr: np.ndarray) -> int:
-    """Distinct rows of an integer array: row codes, sorted and compared
-    with their neighbours (np.unique hashes int64 input on numpy 2.4, slower)."""
+    """Distinct rows of an integer array: row codes (8 to 64 bits wide, as
+    the code space needs), sorted and compared with their neighbours
+    (np.unique hashes int64 input on numpy 2.4, slower)."""
     codes = np.sort(row_codes(arr))
     return int(codes.size > 0) + int(np.count_nonzero(codes[1:] != codes[:-1]))
 

@@ -267,6 +267,50 @@ def test_config_schema_passes_its_meta_schema():
     jsonschema.Draft202012Validator.check_schema(EXPERIMENT_CONFIG_SCHEMA)
 
 
+def mutate(node, rng):
+    """A copy of a JSON config with one random change at a random depth:
+    a key dropped or added, or a value replaced by one of another type."""
+    if isinstance(node, dict) and node and rng.random() < 0.7:
+        key = rng.choice(sorted(node))
+        return {**node, key: mutate(node[key], rng)}
+    if isinstance(node, list) and node and rng.random() < 0.7:
+        i = rng.randrange(len(node))
+        return node[:i] + [mutate(node[i], rng)] + node[i + 1:]
+    roll = rng.random()
+    if isinstance(node, dict) and node and roll < 0.3:
+        key = rng.choice(sorted(node))
+        return {k: v for k, v in node.items() if k != key}
+    if isinstance(node, dict) and roll < 0.5:
+        return {**node, rng.choice(["extra", "variant", "d", "period"]): rng.choice([1, "x"])}
+    return rng.choice([None, True, "x", "bernoulli", -1, 0, 2, 1.5, [], [0], [[0.5]], {},
+                       {"variant": "bernoulli"}, {"kind": "int_grid"}, FLIP, FAIR_GRID,
+                       {"variant": "periodic_overlay", "base": {"variant": "x"}, "period": [2]}])
+
+
+def test_inlined_config_validator_reports_the_plain_schemas_errors(tmp_path, data_dir):
+    import random
+
+    from jsonschema.exceptions import best_match
+    overlay = {"variant": "periodic_overlay", "base": {
+        "variant": "periodic_overlay", "base": FLIP, "period": [2]}, "period": [3]}
+    valid = [base_config(tmp_path)] + [json.loads((data_dir / name / "config.json").read_text())
+                                       for name in ("estimators_golden", "successor_golden")]
+    valid[0]["experiments"][1]["process"] = overlay
+    plain = jsonschema.Draft202012Validator(EXPERIMENT_CONFIG_SCHEMA)
+    rng = random.Random(20240)
+    messages = []
+    for i in range(600):
+        config = valid[i % 3]
+        for _ in range(rng.randint(1, 3)):
+            config = mutate(config, rng)
+        want = best_match(plain.iter_errors(config))
+        got = best_match(cli._config_validator().iter_errors(config))
+        assert (got and got.message) == (want and want.message), config
+        messages.append(want and want.message)
+    # the fuzz reaches many distinct errors and leaves few configs valid
+    assert len(set(messages)) > 80 and messages.count(None) < 60
+
+
 def test_entropy_run_reports_missing_version(tmp_path, capsys):
     config = base_config(tmp_path)
     del config["version"]

@@ -1,4 +1,5 @@
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -77,6 +78,8 @@ def test_ratio_same_for_tuple_and_array_input(case):
         assert util.pack_rows(np.concatenate([F, F + K[-1]])) is None
     F = F.astype(np.int64)
     K = K.astype(np.int64)
+    # only a box of 2^62 cells or more takes np.unique's signed codes
+    assert (folner._flagged_codes(F[None], K).dtype.kind == "i") == (case == "near_2_40")
     tuples_f = [tuple(int(x) for x in row) for row in F]
     tuples_k = {tuple(int(x) for x in row) for row in K}
     got = folner.invariance_ratio(GRID, F, K)
@@ -102,9 +105,55 @@ def test_one_sort_ratio_matches_set_oracle(case):
         K = np.array([[0, 0, 0], [1, 0, 0], [0, -1, 0], [2**40, 0, -2**40], [1, 0, 0]])
         assert util.pack_rows(np.concatenate([F, F + K[3]])) is None
     spec = GroupSpec.grid(d)
+    fallback = folner._flagged_codes(F[None].astype(np.int64), K.astype(np.int64)).dtype.kind == "i"
+    assert fallback == (case == "d3_spread_2_40")
     got = folner.invariance_ratio(spec, F.astype(np.int64), K.astype(np.int64))
     assert got == set_ratio(F.tolist(), K.tolist())
     assert got == folner.invariance_ratio(spec, F.tolist(), list(map(tuple, K.tolist())))
+
+
+def flagged_reference(F, K):
+    """Doubled mixed-radix codes of KF ++ F over the cells' bounding box
+    (last column least significant), plus one on F, and the box's size."""
+    kf = [[a + b for a, b in zip(f, k)] for k in K for f in F]
+    cols = list(zip(*(kf + F)))
+    lo = [min(col) for col in cols]
+    ranges = [max(col) - m + 1 for col, m in zip(cols, lo)]
+    strides = [math.prod(ranges[c + 1:]) for c in range(len(cols))]
+
+    def code(cell):
+        return sum((x - m) * st for x, m, st in zip(cell, lo, strides))
+
+    return [2 * code(c) for c in kf] + [2 * code(f) + 1 for f in F], math.prod(ranges)
+
+
+EDGE_F = [[0, 0], [7, 12], [0, 12], [7, 0], [3, 5], [3, 5], [6, 1]]  # box [0, 7] x [0, 12]
+
+
+@pytest.mark.parametrize("F, K", [
+    # no identity in K, every offset negative in some column
+    (np.random.default_rng(5).integers(-5, 6, size=(60, 2)), [[-3, -1], [-1, -4], [2, -7]]),
+    # KF and F fill an 8 x 16 box (128 cells) from corner to corner: the
+    # flagged codes span all of uint8; a 9 x 16 box needs uint16
+    (EDGE_F, [[0, -3]]),
+    (EDGE_F, [[0, -3], [-1, 0]]),
+    (EDGE_F, [[0, 3], [0, -3], [1, 0], [-1, 0]]),
+    ([[1 - 2**14], [2**14 - 1], [0]], [[-1]]),  # 2^15 cells: all of uint16
+    ([[1 - 2**14], [2**14], [0]], [[-1]]),  # 2^15 + 1 cells: uint32
+    # (2^31 - 1) 2^31 cells, just below 2^62: uint64
+    ([[0, 0, 0], [0, 2**31 - 3, 2**30 - 1]], [[0, 1, 0], [0, 0, -(2**30)]]),
+])
+def test_box_codes_ratio_matches_set_oracle(F, K):
+    F = np.asarray(F, dtype=np.int64)
+    K = np.asarray(K, dtype=np.int64)
+    want, size = flagged_reference(F.tolist(), K.tolist())
+    assert size < 2**62
+    codes = folner._flagged_codes(F[None], K)
+    assert codes.dtype == np.min_scalar_type(2 * size - 1)
+    assert codes[0].tolist() == want
+    spec = GroupSpec.grid(F.shape[1])
+    assert folner._ratios(F[None], K) == [set_ratio(F.tolist(), K.tolist())]
+    assert folner.invariance_ratio(spec, F, K) == set_ratio(F.tolist(), K.tolist())
 
 
 def test_ratio_rejects_products_outside_int64():
@@ -146,6 +195,7 @@ def test_batched_ratios_match_single_ratios_and_set_oracle(data, d, t, s, repeat
         Fs[0, 0] += 2**40 if d > 1 else 2**62
         Fs[-1, -1] -= 2**40 if d > 1 else 2**62
         assert util.pack_rows(Fs.reshape(-1, d)) is None
+        assert folner._flagged_codes(Fs, K).dtype.kind == "i"
     spec = GroupSpec.grid(d)
     got = folner._ratios(Fs, K)
     assert got == [folner.invariance_ratio(spec, F, K) for F in Fs]

@@ -368,8 +368,9 @@ def test_whole_tile_over_the_budget_raises_before_building(builtins):
 
 def test_window_reaches_past_the_whole_tile_budget():
     # the identity starts the second half of a 2^23-cell tile, so position -1
-    # lies only in the level-23 tile, above the whole-tile budget
-    spec = tiling.builtin("dyadic_standard")
+    # lies only in the level-23 tile, above the whole-tile budget; a private
+    # spec frees the level-23 curves (128 MiB) after the test
+    spec = tiling._new_builtin("dyadic_standard")
     addr = Address(spec, 23, "I", (2,) + (1,) * 22)
     assert tiling.anchor_rank(addr) == 1 << 22
     w = tiling.window(addr, 1, 0)

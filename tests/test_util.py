@@ -40,14 +40,51 @@ def test_count_distinct_rows_matches_set_of_tuples(arr):
     assert count_distinct_rows(arr) == expected
 
 
+def code_space(arr):
+    """prod(ranges): the number of cells in the rows' bounding box."""
+    return math.prod(int(arr[:, c].max()) - int(arr[:, c].min()) + 1 for c in range(arr.shape[1]))
+
+
 @pytest.mark.parametrize("arr", CASES, ids=lambda a: f"n{a.shape[0]}d{a.shape[1]}")
 def test_pack_rows_is_mixed_radix_over_column_ranges(arr):
     codes = pack_rows(arr)
-    assert codes.dtype == np.int64
+    assert codes.dtype == np.min_scalar_type(code_space(arr) - 1)
     assert codes.tolist() == reference_codes(arr)
     # equal codes exactly when rows are equal
     pairs = {(int(c), tuple(int(x) for x in row)) for c, row in zip(codes, arr)}
     assert len({c for c, _ in pairs}) == len({r for _, r in pairs}) == len(pairs)
+
+
+def box_rows(seed, ranges, base):
+    """Both corners of the box base + [0, ranges) and 200 random rows in it."""
+    lo, hi = np.array(base), np.array(base) + ranges - 1
+    inner = np.random.default_rng(seed).integers(lo, hi, size=(200, len(ranges)), endpoint=True)
+    return np.concatenate([[lo, hi], inner, inner[:20]]).astype(np.int64)
+
+
+@pytest.mark.parametrize("ranges, dtype", [
+    ((16, 16), np.uint8),
+    ((256,), np.uint8),  # one column as wide as the dtype
+    ((1, 256), np.uint8),  # its radix, 2^8, wraps to 0 in uint8
+    ((16, 17), np.uint16),
+    ((257,), np.uint16),
+    ((256, 256), np.uint16),
+    ((2, 1, 32768), np.uint16),
+    ((256, 257), np.uint32),
+    ((65536, 65536), np.uint32),
+    ((1, 2**32), np.uint32),
+    ((65536, 65537), np.uint64),
+    ((3, 2**31, 2**29 - 1), np.uint64),  # just below 2^62
+])
+@pytest.mark.parametrize("base", [0, -(2**40), 2**62])
+def test_pack_rows_in_the_smallest_unsigned_dtype(ranges, dtype, base):
+    arr = box_rows(len(ranges), np.array(ranges), [base - r // 2 for r in ranges])
+    assert code_space(arr) == math.prod(ranges)
+    codes = pack_rows(arr)
+    assert codes.dtype == dtype
+    assert codes.tolist() == reference_codes(arr)
+    assert codes.max() == math.prod(ranges) - 1
+    assert count_distinct_rows(arr) == len({tuple(row) for row in arr.tolist()})
 
 
 def test_pack_rows_rejects_empty_and_non_matrix_input():
