@@ -30,7 +30,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, entropy, folner, groups, orders, process, tiling
-from .errors import ConsistencyError, InputError, MultiorderError
+from .errors import ConsistencyError, InputError, MissingRuleError, MultiorderError
 from .groups import GroupSpec
 from .schema import EXPERIMENT_CONFIG_SCHEMA, SCHEMA_VERSION
 from .util import child_seed
@@ -163,7 +163,7 @@ def _cmd_tiling_dump(args) -> int:
 def _cmd_tiling_validate(args) -> int:
     spec = tiling.builtin(args.name)
     for label in spec.rules(args.level) if args.level > 0 else ():
-        with contextlib.suppress(InputError):  # an unknown child has no size; reported below
+        with contextlib.suppress(MissingRuleError):  # an unknown child has no size; reported below
             tiling.check_curve_budget(spec, args.level, label)
     report = tiling.validate_spec(spec, args.level)
     payload = {"name": args.name, "ok": report.ok, **dataclasses.asdict(report)}

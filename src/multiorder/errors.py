@@ -17,6 +17,10 @@ class OutOfWindowError(MultiorderError, LookupError):
     """An order position or group element falls outside the known window."""
 
 
+class MissingRuleError(InputError):
+    """A tiling system has no rule for a shape at the requested level."""
+
+
 class InvalidIncrementsError(InputError):
     """An increment sequence does not reconstruct to an injective window."""
 

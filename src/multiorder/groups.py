@@ -18,7 +18,9 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InputError
+from .errors import BudgetError, DimensionMismatchError, InputError
+
+BOX_BUDGET = 1 << 22  # cells of a box, the bound of the curve and overlay-phase budgets too
 
 Element = tuple[int, ...]
 
@@ -176,10 +178,13 @@ def inverse(spec: GroupSpec, a) -> Element:
 
 def box(spec: GroupSpec, radius: int) -> np.ndarray:
     """All elements with sup-norm at most radius: (2*radius+1)^d read-only
-    rows in lexicographic order."""
+    rows in lexicographic order, or BudgetError, before any, over BOX_BUDGET."""
     if radius < 0:
         raise InputError(f"radius must be >= 0, got {radius}")
     side = 2 * radius + 1
+    if side**spec.d > BOX_BUDGET:
+        raise BudgetError(f"box of radius {radius} in Z^{spec.d} has {side**spec.d} cells, "
+                          f"more than the budget of {BOX_BUDGET}")
     return read_only(np.indices((side,) * spec.d, dtype=np.int64).reshape(spec.d, -1).T - radius)
 
 

@@ -121,6 +121,13 @@ class _PositionRows:
         return cls(spec, lo, hi, [by_pos[i] for i in positions])
 
 
+def _check_span(cells: np.ndarray, what: str) -> None:
+    """InputError where the cells span 2^63 or more in some coordinate: a
+    difference of two of them, an increment or a cell after act, would wrap."""
+    if any(int(hi) - int(lo) >= 2**63 for lo, hi in zip(cells.min(axis=0), cells.max(axis=0))):
+        raise InputError(f"{what} must span less than 2^63 in every coordinate")
+
+
 class OrderWindow(_PositionRows):
     """Positions lo..hi of an anchored order, with cell(0) = identity."""
 
@@ -132,6 +139,7 @@ class OrderWindow(_PositionRows):
             raise InputError(f"cell(0) must be the identity, got {tuple(rows[-self.lo])}")
         if count_distinct_rows(rows) != rows.shape[0]:
             raise InputError("window cells must be pairwise distinct")
+        _check_span(rows, "window cells")
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
@@ -180,6 +188,10 @@ class IncrementWindow(_PositionRows):
 
     __slots__ = ()
     _form, _key, _extra = "increments", "incr", 0
+
+    def _check(self, rows: np.ndarray) -> None:
+        cells = np.cumsum(np.pad(rows, ((1, 0), (0, 0))), axis=0, dtype=object)  # exact ints
+        _check_span(cells, "the cells the increments rebuild")
 
     def incr(self, i: int) -> Element:
         if i < self.lo or i >= self.hi:

@@ -5,9 +5,10 @@ cell sets containing the identity) and, for k >= 1, a table of one ordered
 rule per level-k shape decomposing it exactly into translated level-(k-1)
 shapes.  Level 0 holds the single singleton shape.  Expanding a level-L
 shape by recursively concatenating child expansions in rule order lays the
-shape's cells on a discrete curve; the built-in systems are two dyadic
-interval systems on the line and the Hilbert-curve square system on the
-plane; builtin(name) gives one shared, read-only spec per name per process.
+shape's cells on a discrete curve.  The built-in systems (two dyadic
+interval systems on the line, the Hilbert-curve square system on the plane)
+are rows of one table of rules over the boxes [0, 2^k)^d, read by one
+builder; builtin(name) gives one shared, read-only spec per name per process.
 
 Both tables are plain dicts keyed by label: a shape table maps each label
 to its cells, a rule table maps each label to its ordered (child label,
@@ -41,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import groups
-from .errors import BudgetError, InputError, MultiorderError, OutOfWindowError
+from .errors import BudgetError, InputError, MissingRuleError, MultiorderError, OutOfWindowError
 from .groups import GroupSpec
 from .orders import OrderWindow
 from .process import choice_cdf, inverse_cdf, stationary_distribution
@@ -115,7 +116,7 @@ class TilingSystemSpec:
         try:
             return self.rules(k)[label]
         except KeyError:
-            raise InputError(f"no rule for shape {label!r} at level {k}") from None
+            raise MissingRuleError(f"no rule for shape {label!r} at level {k}") from None
 
     def children(self, k: int, label: str) -> tuple:
         """The rule of a level-k shape as (child labels, (arity, d) int64
@@ -475,60 +476,24 @@ def speedup(spec: TilingSystemSpec) -> TilingSystemSpec:
                             spec.canonical_label, max_level)
 
 
-def _dyadic_spec(name: str, alternating: bool) -> TilingSystemSpec:
-    group = GroupSpec.line()
-
-    def shapes_fn(k):
-        if k == 0:
-            return {SINGLETON_LABEL: np.zeros((1, 1), dtype=np.int64)}
-        return {"I": np.arange(2**k, dtype=np.int64).reshape(-1, 1)}
-
-    def rules_fn(k):
-        child = "I" if k - 1 >= 1 else SINGLETON_LABEL
-        left, right = (child, (0,)), (child, (2 ** (k - 1),))
-        return {"I": (right, left) if alternating and k % 2 == 1 else (left, right)}
-
-    return TilingSystemSpec(group, name, shapes_fn, rules_fn, canonical_label="I")
-
-
-# Quadrant layout of each Hilbert shape, children in traversal order.
-# Quadrant names: BL/BR/TL/TR with x rightward and y upward; labels name the
-# side the curve's opening faces (U up, D down, R right, L left).
-_HILBERT_TABLE = {
-    "U": (("L", "TL"), ("U", "BL"), ("U", "BR"), ("R", "TR")),
-    "R": (("D", "BR"), ("R", "BL"), ("R", "TL"), ("U", "TR")),
-    "L": (("U", "TL"), ("L", "TR"), ("L", "BR"), ("D", "BL")),
-    "D": (("R", "BR"), ("D", "TR"), ("D", "TL"), ("L", "BL")),
+# The built-ins as one table, {name: (d, canonical label, (rules at odd
+# levels, rules at even levels))}.  A rule lists (child label, corner) in
+# curve order: a corner c in {0,1}^d puts the child at c * 2^(k-1) in the
+# level-k box [0, 2^k)^d.  Hilbert labels name the side the curve opens to
+# (U up, D down, R right, L left), with x rightward and y upward.
+_DYADIC = {"I": (("I", (0,)), ("I", (1,)))}
+_HILBERT = {
+    "U": (("L", (0, 1)), ("U", (0, 0)), ("U", (1, 0)), ("R", (1, 1))),
+    "R": (("D", (1, 0)), ("R", (0, 0)), ("R", (0, 1)), ("U", (1, 1))),
+    "L": (("U", (0, 1)), ("L", (1, 1)), ("L", (1, 0)), ("D", (0, 0))),
+    "D": (("R", (1, 0)), ("D", (1, 1)), ("D", (0, 1)), ("L", (0, 0))),
 }
-
-_QUADRANT_OFFSETS = {"BL": (0, 0), "BR": (1, 0), "TL": (0, 1), "TR": (1, 1)}
-
-
-def _hilbert_spec() -> TilingSystemSpec:
-    group = GroupSpec.grid(2)
-
-    def shapes_fn(k):
-        if k == 0:
-            return {SINGLETON_LABEL: np.zeros((1, 2), dtype=np.int64)}
-        cells = np.indices((2**k, 2**k), dtype=np.int64).reshape(2, -1).T
-        return {lab: cells for lab in _HILBERT_TABLE}
-
-    def rules_fn(k):
-        h = 2 ** (k - 1)
-        out = {}
-        for lab, quads in _HILBERT_TABLE.items():
-            children = []
-            for child_label, quad in quads:
-                cl = child_label if k - 1 >= 1 else SINGLETON_LABEL
-                qx, qy = _QUADRANT_OFFSETS[quad]
-                children.append((cl, (qx * h, qy * h)))
-            out[lab] = tuple(children)
-        return out
-
-    return TilingSystemSpec(group, "hilbert", shapes_fn, rules_fn, canonical_label="U")
-
-
-_BUILTIN_NAMES = ("dyadic_standard", "dyadic_alternating", "hilbert")
+_BUILTINS = {
+    "dyadic_standard": (1, "I", (_DYADIC, _DYADIC)),
+    "dyadic_alternating": (1, "I", ({"I": _DYADIC["I"][::-1]}, _DYADIC)),
+    "hilbert": (2, "U", (_HILBERT, _HILBERT)),
+}
+_BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin(name: str) -> TilingSystemSpec:
@@ -541,10 +506,22 @@ def builtin(name: str) -> TilingSystemSpec:
 
 
 def _new_builtin(name: str) -> TilingSystemSpec:
-    """A fresh spec of a built-in system, with empty caches."""
-    if name == "hilbert":
-        return _hilbert_spec()
-    return _dyadic_spec(name, alternating=name == "dyadic_alternating")
+    """A fresh spec of a built-in system, with empty caches, read off its
+    row of the table: every label's level-k shape is the box [0, 2^k)^d, and
+    level-1 children are the singleton."""
+    d, canonical_label, rules_by_parity = _BUILTINS[name]
+
+    def shapes_fn(k):
+        box = np.indices((2**k,) * d, dtype=np.int64).reshape(d, -1).T
+        return dict.fromkeys(rules_by_parity[0] if k else (SINGLETON_LABEL,), box)
+
+    def rules_fn(k):
+        half = 2 ** (k - 1)
+        return {lab: tuple((child if k > 1 else SINGLETON_LABEL, tuple(c * half for c in corner))
+                           for child, corner in rule)
+                for lab, rule in rules_by_parity[(k + 1) % 2].items()}
+
+    return TilingSystemSpec(GroupSpec.grid(d), name, shapes_fn, rules_fn, canonical_label)
 
 
 _shared_builtin = functools.cache(_new_builtin)

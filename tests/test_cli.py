@@ -134,6 +134,20 @@ def test_tiling_validate_over_budget_builds_no_shape(monkeypatch, capsys, name, 
         cli.main(["tiling", "validate", "--name", name, "--level", str(level - 1)])
 
 
+@pytest.mark.parametrize("name", tiling._BUILTIN_NAMES)
+def test_tiling_validate_at_level_64_exits_2_building_no_shape(monkeypatch, capsys, name):
+    # level-64 tile offsets of 2^63 leave int64; that is no missing rule to pass over
+    spec = tiling._new_builtin(name)  # private: the patch below must not leak
+
+    def no_shapes(k):
+        raise AssertionError(f"shapes requested at level {k}")
+
+    spec._shapes_fn = no_shapes
+    monkeypatch.setattr(tiling, "builtin", lambda _: spec)
+    assert cli.main(["tiling", "validate", "--name", name, "--level", "64"]) == 2
+    assert capsys.readouterr().err == "config/input error: cell coordinates must fit in int64\n"
+
+
 def test_tiling_validate_payload_for_a_broken_spec(monkeypatch, capsys, data_dir):
     # A missing identity, overlapping children and an unknown child.
     shapes = {0: {"o": [(0,)]}, 1: {"A": [(1,), (2,)], "B": [(0,), (1,)]},
@@ -145,6 +159,42 @@ def test_tiling_validate_payload_for_a_broken_spec(monkeypatch, capsys, data_dir
     monkeypatch.setattr(tiling, "builtin", lambda name: broken)
     assert cli.main(["tiling", "validate", "--name", "broken", "--level", "2"]) == 1
     assert capsys.readouterr().out == (data_dir / "validate_broken.json").read_text()
+
+
+@pytest.mark.parametrize("args, cells", [
+    (["order", "iid", "--d", "3", "--radius", "100000", "--seed", "1"], 200001**3),
+    (["folner", "audit", "--name", "hilbert", "--level", "4", "--seed", "1",
+      "--candidates", "4", "--k", "box", "--k-radius", "1000000"], 2000001**2),
+    (["order", "iid", "--d", "2", "--radius", "1024", "--seed", "1"], 2049**2),
+])
+def test_box_over_budget_exits_1_before_allocating(capsys, args, cells):
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: box of radius ")
+    assert err.endswith(f" has {cells} cells, more than the budget of {1 << 22}\n")
+
+
+@pytest.mark.parametrize("doc, to", [
+    # the increment from -2^63 to 0 is +2^63, which int64 would read as -2^63
+    ({"form": "window", "group": {"kind": "int_line"}, "lo": -1, "hi": 1,
+      "cells": [[-1, [-(1 << 63)]], [0, [0]], [1, [(1 << 63) - 1]]]}, "increments"),
+    # the rebuilt cells -(2^63 - 1), 0, 2^63 - 1 each fit, but do not span in int64
+    ({"form": "increments", "group": {"kind": "int_grid", "d": 2}, "lo": -1, "hi": 1,
+      "incr": [[-1, [0, (1 << 63) - 1]], [0, [0, (1 << 63) - 1]]]}, "window"),
+])
+def test_order_convert_refuses_cells_spanning_2_to_the_63(tmp_path, capsys, doc, to):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["order", "convert", "--input", str(path), "--to", to]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config/input error: ")
+    assert captured.err.endswith("must span less than 2^63 in every coordinate\n")
+
+
+def test_schema_tiling_names_are_the_builtins():
+    tiling_schema = EXPERIMENT_CONFIG_SCHEMA["$defs"]["tiling"]
+    assert tuple(tiling_schema["properties"]["name"]["enum"]) == tiling._BUILTIN_NAMES
 
 
 def test_folner_audit_csv(tmp_path, capsys):

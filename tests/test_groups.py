@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from multiorder import folner, groups, orders, process, tiling
-from multiorder.errors import DimensionMismatchError, InputError
+from multiorder.errors import BudgetError, DimensionMismatchError, InputError
 from multiorder.groups import GroupSpec
 
 
@@ -83,6 +83,18 @@ def test_dimension_mismatch_rejected():
         groups.compose(spec, (1, 2), (1,))
     with pytest.raises(DimensionMismatchError):
         groups.element(spec, 5)
+
+
+def test_box_budget_is_checked_before_allocating():
+    line = GroupSpec.line()
+    radius = (groups.BOX_BUDGET - 1) // 2  # the largest line box in budget
+    assert len(groups.box(line, radius)) == groups.BOX_BUDGET - 1
+    with pytest.raises(BudgetError, match=f"has {groups.BOX_BUDGET + 1} cells"):
+        groups.box(line, radius + 1)
+    with pytest.raises(BudgetError, match=f"has {3**14} cells"):
+        groups.box(GroupSpec.grid(14), 1)  # 3^14 > 2^22 > 3^13
+    with pytest.raises(BudgetError):
+        groups.box(GroupSpec.grid(3), 10**18)  # would overflow any allocation
 
 
 def test_bad_inputs_rejected():

@@ -42,6 +42,23 @@ def test_window_validation():
         OrderWindow(LINE, 0, 2, [(0,), (1,)])  # wrong count
 
 
+def test_windows_spanning_2_to_the_63_are_refused():
+    top = (1 << 63) - 1
+    with pytest.raises(InputError, match="window cells must span less than 2\\^63"):
+        OrderWindow(LINE, -1, 1, [(-top - 1,), (0,), (top,)])
+    with pytest.raises(InputError, match="increments rebuild must span less than 2\\^63"):
+        IncrementWindow(GRID, -1, 1, [(0, top), (0, top)])
+    with pytest.raises(InputError, match="increments rebuild"):
+        IncrementWindow(LINE, 0, 2, [(top,), (1,)])  # the last cell would be 2^63
+    # a span of 2^63 - 1 is kept exactly by increments, act and the rebuild
+    w = OrderWindow(GRID, -1, 1, [(-(1 << 62), 5), (0, 0), ((1 << 62) - 1, -5)])
+    iw = orders.to_increments(w)
+    assert iw.incr(-1) == (1 << 62, -5) and iw.incr(0) == ((1 << 62) - 1, -5)
+    assert IncrementWindow(GRID, -1, 1, iw.array.tolist()) == iw
+    assert orders.from_increments(iw) == w
+    assert orders.act(w, w.cell(1)).cell(-2) == (-top, 10)
+
+
 def test_succ_and_compare_on_alternating_example():
     w = alternating_window()
     assert orders.interval(w, w.lo, w.hi) == [(1,), (0,), (3,), (2,)]
