@@ -86,18 +86,21 @@ def plugin_entropy(counts, bias: str = "plugin") -> float:
     """Entropy in bits of the empirical distribution behind the counts.
 
     counts may be a mapping value->count or a bare count vector; the
-    bias correction is meaningful for integer counts.
+    bias correction is meaningful for integer counts.  Empty, negative or
+    non-finite (NaN, infinite) counts, and counts whose total is zero or
+    overflows, raise InputError.
     """
     _check_bias(bias)
     if hasattr(counts, "values"):
         vals = np.asarray(list(counts.values()), dtype=float)
     else:
         vals = np.asarray(list(counts), dtype=float)
-    if vals.size == 0 or (vals < 0).any():
-        raise InputError("counts must be nonempty and nonnegative")
-    total = vals.sum()
-    if total <= 0:
-        raise InputError("counts must have positive total")
+    if vals.size == 0 or not np.isfinite(vals).all() or (vals < 0).any():
+        raise InputError("counts must be nonempty, finite and nonnegative")
+    with np.errstate(over="ignore"):  # an infinite total is refused below
+        total = vals.sum()
+    if not 0 < total < np.inf:
+        raise InputError("counts must have a positive, finite total")
     pos = vals[vals > 0]
     h = float(-(pos / total * np.log2(pos / total)).sum())
     if bias == "miller_madow":

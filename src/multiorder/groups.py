@@ -6,13 +6,17 @@ single elements, while cell arrays use int64 arithmetic directly
 (``translate``, ``add_cells``).  For d = 1 the helpers accept bare ints.
 Cell sets enter and leave every module as (n, d) int64 arrays (``box``
 returns one): ``as_cell_array`` builds one from user input (reading int
-tuples in bulk), ``cell_tuples`` reads one back as tuples for the few views
-that still list elements.
+tuples in bulk), and ``cell_tuples`` reads one back as tuples for the few
+views that still list elements.  ``CellRows``, what ``orders.interval``
+returns, is one: a list of element tuples over a read-only array, built
+only when an element is read, while ``as_cell_array`` takes its array as
+it is.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -106,10 +110,13 @@ def element(spec: GroupSpec, value) -> Element:
 def as_cell_array(spec: GroupSpec, cells) -> np.ndarray:
     """The cells as an (n, d) int64 array, one row per cell in input order.
 
-    An int64 2-d array passes through after the dimension check; length-d
+    An int64 2-d array, or a ``CellRows`` view's array, passes through
+    after the dimension check, without a copy; length-d
     tuples and lists of exact ints (no bools) are read in bulk, and anything
     else goes through ``element`` cell by cell, with its errors.
     """
+    if isinstance(cells, CellRows):
+        cells = cells.array
     if isinstance(cells, np.ndarray) and cells.dtype == np.int64 and cells.ndim == 2:
         if cells.shape[1] != spec.d:
             raise DimensionMismatchError(f"cells have dimension {cells.shape[1]}, "
@@ -136,6 +143,46 @@ def read_only(arr: np.ndarray) -> np.ndarray:
 def cell_tuples(arr: np.ndarray) -> list[Element]:
     """Rows as int tuples, built column-wise: half the GC-tracked objects of row-wise."""
     return list(zip(*arr.T.tolist()))
+
+
+class CellRows(Sequence):
+    """The rows of an (n, d) int64 array as an immutable list of element
+    tuples: ``len``, iteration, indexing, slicing, ``repr`` and ``==``
+    against lists behave as for ``cell_tuples(array)``, which is built on
+    the first element access and kept.  Unhashable, like a list.
+    ``array`` is a read-only view of the rows, which ``as_cell_array``
+    hands on as it is; a view of a window's rows keeps that window's whole
+    array alive."""
+
+    __slots__ = ("_arr", "_tuples")
+
+    def __init__(self, arr: np.ndarray):
+        self._arr = read_only(arr.view())  # a view: the caller's array keeps its flags
+        self._tuples = None
+
+    @property
+    def array(self) -> np.ndarray:
+        return self._arr
+
+    def _list(self) -> list[Element]:
+        if self._tuples is None:
+            self._tuples = cell_tuples(self._arr)
+        return self._tuples
+
+    def __len__(self) -> int:
+        return len(self._arr)
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __getitem__(self, i):
+        return self._list()[i]
+
+    def __eq__(self, other):
+        return self._list() == (other._list() if isinstance(other, CellRows) else other)
+
+    def __repr__(self) -> str:
+        return repr(self._list())
 
 
 def check_sums(a: np.ndarray, b: np.ndarray) -> None:

@@ -13,9 +13,10 @@ position k re-centers the window so that element becomes the new anchor.
 
 Windows and increments hold their cells as one read-only (n, d) int64 array
 (``array``, sliced by ``rows``).  Tuples appear only for single elements
-(``cell``, ``incr``, ``succ``) and in ``interval``, a tuple-list view kept
-for callers that compare lists of elements, such as perfbench's
-``window_audit`` workload.
+(``cell``, ``incr``, ``succ``).  ``interval`` returns a ``groups.CellRows``
+view of the rows: it compares and lists like a list of element tuples, and
+array readers (``folner``, ``process``) take its rows without reading a
+tuple.
 """
 
 from __future__ import annotations
@@ -278,9 +279,11 @@ def _shift(w: OrderWindow, k: int) -> OrderWindow:
     return OrderWindow(w.group, w.lo - k, w.hi - k, arr, _trusted=True)
 
 
-def interval(w: OrderWindow, i: int, j: int) -> list[Element]:
-    """Cells in positions i..j (inclusive); empty if i > j."""
-    return groups.cell_tuples(w.rows(i, j))
+def interval(w: OrderWindow, i: int, j: int) -> groups.CellRows:
+    """Cells in positions i..j (inclusive); empty if i > j.  A list of
+    element tuples over ``w.rows(i, j)``, which array readers take as it is;
+    it keeps the window's array alive."""
+    return groups.CellRows(w.rows(i, j))
 
 
 def compare(w: OrderWindow, a, b) -> Comparison:

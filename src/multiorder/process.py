@@ -294,11 +294,8 @@ def _draw(spec, cs, m: int, seed) -> np.ndarray:
     phases = np.stack(
         [rng.integers(0, p, size=m, dtype=np.int64) for p in spec.period], axis=1
     )
-    out = _draw(spec.base, cs, m, base_seed) * np.int64(math.prod(spec.period))
-    # one cell's markers at a time: no (m, n) marker array or temporaries
-    for row, cell in zip(out, cs):
-        row += _markers(spec, cell, phases)[:, 0]
-    return out
+    base = _draw(spec.base, cs, m, base_seed).astype(np.int64, copy=False)
+    return _markers(spec, cs, phases, out=base)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -312,21 +309,26 @@ def _thresholds(transition: tuple, gap: int) -> np.ndarray:
     return rows
 
 
-def _markers(spec: PeriodicOverlay, cells: np.ndarray, phases=None) -> np.ndarray:
-    """Row-major marker indices, one row per phase and one column per cell
-    (cells an (n, d) array, or one (d,) cell for a single column); phases
-    is an (m, d) array, by default all prod(period) phases in row-major
-    order.  Per dimension, cell mod p plus phase is below 2p, so one
-    conditional subtraction reduces it, and Horner's rule folds the
-    dimensions: no int64 overflow, and O(m n) memory."""
-    cells = cells.reshape(-1, len(spec.period))
+def _markers(spec: PeriodicOverlay, cells: np.ndarray, phases=None, out=None) -> np.ndarray:
+    """out * prod(period) plus the row-major marker indices, as one (n, m)
+    int64 matrix with one row per cell of the (n, d) array cells and one
+    column per phase, folded into out in place by Horner's rule (zeros by
+    default, giving the bare indices); phases is an (m, d) array, by
+    default all prod(period) phases in row-major order.  Per dimension,
+    cell mod p plus phase is below 2p, so it is summed in the smallest
+    unsigned dtype holding 2p - 1, where subtracting p wraps above the sum
+    unless the sum is >= p: the minimum of the two reduces it mod p, with
+    no int64 temporary."""
     if phases is None:
         phases = np.indices(spec.period).reshape(len(spec.period), -1).T
-    out = 0
+    if out is None:
+        out = np.zeros((len(cells), len(phases)), dtype=np.int64)
     for c, p in enumerate(spec.period):
-        s = cells[:, c] % p + phases[:, c, None]
-        s -= p * (s >= p)
-        out = out * p + s
+        dt = np.min_scalar_type(2 * p - 1)
+        s = (cells[:, c] % p).astype(dt)[:, None] + phases[:, c].astype(dt)
+        np.minimum(s, s - p, out=s)
+        out *= p
+        out += s
     return out
 
 
@@ -466,7 +468,7 @@ def exact_cylinder_law(spec, cells) -> dict:
     # one distinct marker row per phase (the one empty row on no cells),
     # sharing the symbols of one decoding of every marker
     marks = _marker_symbols(spec, np.arange(math.prod(spec.period)))
-    rows = list(zip(*([marks[i] for i in col] for col in _markers(spec, cs).T.tolist())))
+    rows = list(zip(*([marks[i] for i in row] for row in _markers(spec, cs).tolist())))
     rows = rows or [()]
     mp = 1.0 / len(rows)
     return {tuple(zip(bkey, mkey)): bp * mp for bkey, bp in base_law.items() for mkey in rows}

@@ -157,7 +157,10 @@ class TilingSystemSpec:
         return self._curve_cache[key]
 
     def labels(self, k: int) -> list[str]:
-        return sorted(self.shapes(k))
+        """The sorted level-k labels: the keys of the raw shape table, so no
+        shape array is built or cached."""
+        self._check_level(k, 0)
+        return sorted(self._shapes_fn(k))
 
     def to_json(self, max_level: int) -> dict:
         """Serialize shape tables and rules up to the given level."""

@@ -223,6 +223,23 @@ def overlay_sample_many(base_sample, period, cells, m: int, seed) -> np.ndarray:
     return base * math.prod(period) + marker
 
 
+def overlay_sample_per_cell(base_sample, period, cells, m: int, seed) -> np.ndarray:
+    """overlay_sample_many one cell at a time, in Python ints: each cell's
+    column is its base draws times |period| plus, per draw, the row-major
+    index of the marker (cell + phase) mod period."""
+    rng = np.random.default_rng(_child_seed(seed, 0))
+    phases = [rng.integers(0, p, size=m, dtype=np.int64).tolist() for p in period]
+    base = base_sample(cells, m, _child_seed(seed, 1))
+    out = np.empty((m, len(cells)), dtype=np.int64)
+    for j, cell in enumerate(cells):
+        for r in range(m):
+            mark = 0
+            for axis, p in enumerate(period):
+                mark = mark * p + (int(cell[axis]) + phases[axis][r]) % p
+            out[r, j] = int(base[r, j]) * math.prod(period) + mark
+    return out
+
+
 def overlay_marker_term(period, target, conditioners) -> float:
     """H(M at S + target) - H(M at S) of a periodic marker with uniform
     phase, S the conditioner cells: every phase's marker row (one column per

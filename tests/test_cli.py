@@ -59,6 +59,18 @@ def test_order_convert_to_ranking(tmp_path, capsys):
     assert ranking.ordered() == [(1,), (0,), (3,), (2,)]
 
 
+def test_order_convert_to_ranking_bytes(tmp_path, capsys):
+    spec = tiling.builtin("hilbert")
+    w = tiling.expand(tiling.sample_address(spec, 3, 11))
+    src = tmp_path / "w.json"
+    src.write_text(json.dumps(w.to_json()))
+    assert cli.main(["order", "convert", "--input", str(src), "--to", "ranking"]) == 0
+    cells = sorted((cell, pos - w.lo) for pos, cell in w.to_json()["cells"])
+    want = {"form": "ranking", "group": {"kind": "int_grid", "d": 2},
+            "cells": [[cell, rank] for cell, rank in cells]}
+    assert capsys.readouterr().out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
 def test_order_convert_reads_stdin(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(window_json())))
     assert cli.main(["order", "convert", "--input", "-", "--to", "window"]) == 0

@@ -55,6 +55,25 @@ def test_plugin_entropy_small_counts():
         entropy.plugin_entropy({"a": 1}, bias="jackknife")
 
 
+@pytest.mark.parametrize("bias", ["plugin", "miller_madow"])
+@pytest.mark.parametrize("counts", [[math.nan, 1.0], {"a": math.nan}, [math.inf, 1.0],
+                                    {"a": 2, "b": -math.inf}, np.array([1.0, math.nan])],
+                         ids=["nan_list", "nan_only_dict", "inf_list", "minus_inf_dict",
+                              "nan_array"])
+def test_plugin_entropy_refuses_non_finite_counts(counts, bias):
+    with pytest.raises(InputError, match="finite"):
+        entropy.plugin_entropy(counts, bias=bias)
+
+
+def test_plugin_entropy_refuses_a_total_that_overflows():
+    with pytest.raises(InputError, match="finite total"):
+        entropy.plugin_entropy([1e308, 1e308])
+    with pytest.raises(InputError, match="positive, finite total"):
+        entropy.plugin_entropy({"a": 0.0, "b": 0})
+    assert entropy.plugin_entropy([1e308, 1e307]) == pytest.approx(
+        oracles.entropy_bits([10 / 11, 1 / 11]), abs=1e-12)
+
+
 def test_block_entropy_fair_coin():
     proc = Bernoulli(LINE, (0.5, 0.5))
     rep = entropy.block_entropy_along_order(
@@ -382,6 +401,15 @@ def test_shearer_validation():
         entropy.shearer_check(law, cells, [[(5,)], [(1,)]], k=1)
     with pytest.raises(InputError):
         entropy.shearer_check({(0,): 1.0}, cells, [[(0,)], [(1,)]], k=1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_shearer_refuses_non_finite_counts(bad):
+    cells = [(0,), (1,)]
+    cover = [[(0,)], [(1,)]]
+    for counts in ({(0, 0): bad}, {(0, 0): bad, (1, 1): 0.5}, {(0, 0): 0.5, (0, 1): bad}):
+        with pytest.raises(InputError, match="finite"):
+            entropy.shearer_check(counts, cells, cover, k=1)
 
 
 def test_remote_past_mi_iid_is_small():

@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiorder import groups, orders, tiling
-from multiorder.errors import InputError, InvalidIncrementsError, OutOfWindowError
+from multiorder import folner, groups, orders, process, tiling
+from multiorder.errors import (
+    DimensionMismatchError,
+    InputError,
+    InvalidIncrementsError,
+    OutOfWindowError,
+)
 from multiorder.groups import GroupSpec
 from multiorder.orders import Comparison, IncrementWindow, OrderWindow
 
@@ -220,6 +225,77 @@ def test_interval():
     assert orders.interval(w, 1, 0) == []
     with pytest.raises(OutOfWindowError):
         orders.interval(w, -2, 0)
+
+
+def test_interval_view_behaves_like_the_tuple_list():
+    w = sampled_windows("hilbert", 3, 1, seed=4)[0]
+    rows = [tuple(r) for r in w.array.tolist()]
+    for i, j in ((w.lo, w.hi), (-3, 5), (0, 0), (2, w.hi)):
+        view, want = orders.interval(w, i, j), rows[i - w.lo: j - w.lo + 1]
+        assert view == want and want == view and view == orders.interval(w, i, j)
+        assert not (view != want) and not (want != view)
+        other = want[:-1] + [(7, 7)]
+        assert view != other and other != view and not (view == other)
+        assert view != want[:-1] and view != tuple(want)
+        assert len(view) == len(want) and repr(view) == repr(want)
+        for k in range(-len(want), len(want)):
+            assert view[k] == want[k]
+        for sl in (slice(None), slice(1, -1), slice(-3, None), slice(None, None, -2),
+                   slice(5, 2), slice(-100, 100, 3)):
+            assert view[sl] == want[sl]
+        for k in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                view[k]
+        got = list(view)
+        assert got == want and all(type(c) is tuple for c in got)
+        assert all(type(x) is int for c in got for x in c)
+        assert want[0] in view and view.index(want[-1]) == len(want) - 1
+    empty = orders.interval(w, 1, 0)
+    assert not empty and empty == [] and [] == empty and repr(empty) == "[]"
+    assert empty.array.shape == (0, 2)
+
+
+def test_interval_view_is_an_unhashable_read_only_window_slice():
+    w = sampled_windows("hilbert", 3, 1, seed=4)[0]
+    view = orders.interval(w, -2, 6)
+    with pytest.raises(TypeError):
+        hash(view)
+    with pytest.raises(TypeError):
+        {view}
+    assert np.shares_memory(view.array, w.array)
+    assert np.array_equal(view.array, w.rows(-2, 6)) and view.array.dtype == np.int64
+    assert not view.array.flags.writeable
+    with pytest.raises(ValueError):
+        view.array[0, 0] = 1
+    with pytest.raises(AttributeError):
+        view.array = w.array
+    assert groups.as_cell_array(w.group, view) is view.array
+    with pytest.raises(DimensionMismatchError):
+        groups.as_cell_array(GroupSpec.grid(3), view)
+
+
+def test_array_readers_take_an_interval_view_without_tuples(monkeypatch):
+    w = sampled_windows("hilbert", 4, 1, seed=8)[0]
+    cross = folner.unit_cross(w.group)
+    overlay = process.PeriodicOverlay(process.Bernoulli(w.group, (0.3, 0.7)), (2, 3))
+    whole, mid, anchor = (orders.interval(w, i, j) for i, j in ((w.lo, w.hi), (-3, 4), (0, 0)))
+    want = {
+        "ratios": [folner.invariance_ratio(w.group, v.array.copy(), cross) for v in (whole, mid)],
+        "growth": [folner.interval_growth(w, v.array.copy(), 2, side)
+                   for v in (mid, anchor) for side in ("forward", "backward")],
+        "codes": process.sample_codes(overlay, mid.array.copy(), 40, 3).tolist(),
+    }
+
+    def no_tuples(arr):
+        raise AssertionError("groups.cell_tuples called")
+
+    monkeypatch.setattr(groups, "cell_tuples", no_tuples)
+    assert {
+        "ratios": [folner.invariance_ratio(w.group, v, cross) for v in (whole, mid)],
+        "growth": [folner.interval_growth(w, v, 2, side)
+                   for v in (mid, anchor) for side in ("forward", "backward")],
+        "codes": process.sample_codes(overlay, mid, 40, 3).tolist(),
+    } == want
 
 
 def test_iid_order_deterministic_and_uniform():

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from multiorder import process
+from multiorder import process, tiling
 from multiorder.errors import BudgetError, DimensionMismatchError, InputError
 from multiorder.groups import GroupSpec
 from multiorder.process import Bernoulli, MarkovLine, PeriodicOverlay
@@ -279,6 +279,25 @@ def test_draws_on_no_cells(which):
     got = process.sample_many(spec, np.zeros((0, 1), dtype=np.int64), 5, seed=1)
     assert got.shape == (5, 0) and got.dtype == np.int64
     assert process.sample_codes(spec, [], 5, seed=1).tolist() == [0] * 5
+
+
+@pytest.mark.parametrize("m", [1, 64])
+@pytest.mark.parametrize("name,period",
+                         [("dyadic_standard", (4,)), ("dyadic_standard", (200,)),
+                          ("hilbert", (2, 3))],
+                         ids=["line_period_4", "line_period_200", "grid_period_2x3"])
+def test_wide_overlay_draw_matches_per_cell_reference(name, period, m):
+    spec = tiling.builtin(name)
+    w = tiling.expand(tiling.sample_address(spec, {1: 12, 2: 6}[spec.group.d], 5))
+    assert len(w) == 4096
+    probs = (0.3, 0.7)
+    overlay = PeriodicOverlay(Bernoulli(spec.group, probs), period)
+
+    def reference(cs, count, s):
+        return oracles.bernoulli_sample_many(probs, count, len(cs), s)
+
+    want = oracles.overlay_sample_per_cell(reference, period, w.array.tolist(), m, 17)
+    np.testing.assert_array_equal(process.sample_many(overlay, w.array, m, 17), want)
 
 
 def test_nested_overlay_sample_many_matches_reference():

@@ -681,3 +681,22 @@ def test_child_sizes_build_no_curve():
     addr = tiling.sample_address(spec, 30, seed=8)
     assert addr._walk.sizes[0] == 4**30
     assert spec._curve_cache == {}
+
+
+@pytest.mark.parametrize("name", ["dyadic_standard", "dyadic_alternating", "hilbert"])
+def test_labels_build_no_shape_table(name):
+    spec = tiling._new_builtin(name)  # cold: the shared spec may hold shape tables
+    fresh = tiling._new_builtin(name)
+    for k in (0, 1, 2, 5, 8):
+        assert spec.labels(k) == sorted(fresh.shapes(k))
+    assert spec._shapes_cache == {}
+    with pytest.raises(InputError, match="level must be >= 0"):
+        spec.labels(-1)
+
+
+def test_labels_keep_the_level_check_of_tables():
+    spec = fibonacci_spec(4)
+    assert [spec.labels(k) for k in range(5)] == [["o"]] + [["a", "b"]] * 4
+    assert spec._shapes_cache == {}
+    with pytest.raises(InputError, match="exceeds known levels"):
+        spec.labels(5)
