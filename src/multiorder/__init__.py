@@ -22,7 +22,6 @@ from .orders import (
     act,
     compare,
     from_increments,
-    iid_order,
     interval,
     succ,
     to_increments,
@@ -32,11 +31,9 @@ from .tiling import (
     TilingSystemSpec,
     ValidationReport,
     builtin,
-    central_tile,
     expand,
     sample_address,
     sample_straight_address,
-    speedup,
     validate_spec,
 )
 from .folner import (

@@ -1,14 +1,13 @@
 """Command-line interface.
 
-One binary with four subcommand groups: ``order`` (format conversion and
-the iid demo sampler), ``tiling`` (curve dumps and rule validation),
-``folner`` (interval invariance audits, CSV), and ``entropy`` (seeded
-experiment runner over a JSON config).  Reports are byte-deterministic for
-a fixed config and seed: no timestamps, sorted keys, and results that do
-not depend on the thread count.  ``--threads`` (else the config's
-``threads``, else MULTIORDER_THREADS, else 1; at least 1) fans the orders
-of every multi-order kind, successor_consistency included, out over
-threads.
+One binary with four subcommand groups: ``order`` (format conversion),
+``tiling`` (curve dumps and rule validation), ``folner`` (interval
+invariance audits, CSV), and ``entropy`` (seeded experiment runner over a
+JSON config).  Reports are byte-deterministic for a fixed config and seed:
+no timestamps, sorted keys, and results that do not depend on the thread
+count.  ``--threads`` (else the config's ``threads``, else
+MULTIORDER_THREADS, else 1; at least 1) fans the orders of every
+multi-order kind, successor_consistency included, out over threads.
 
 Exit codes: 0 success; 1 failed validation or runtime error; 2 config or
 input violation; 3 successor-consistency failure; 4 undersampled run under
@@ -31,7 +30,6 @@ from pathlib import Path
 
 from . import __version__, entropy, folner, groups, orders, process, tiling
 from .errors import ConsistencyError, InputError, MissingRuleError, MultiorderError
-from .groups import GroupSpec
 from .schema import EXPERIMENT_CONFIG_SCHEMA, SCHEMA_VERSION
 from .util import child_seed
 
@@ -137,13 +135,6 @@ def _cmd_order_convert(args) -> int:
     else:
         raise InputError(f"cannot convert {form} to {target}")
     _write_text(_dump_json(out.to_json()), args.output)
-    return EXIT_OK
-
-
-def _cmd_order_iid(args) -> int:
-    spec = GroupSpec.grid(args.d)
-    ranking = orders.iid_order(spec, groups.box(spec, args.radius), args.seed)
-    _write_text(_dump_json(ranking.to_json()), args.output)
     return EXIT_OK
 
 
@@ -353,12 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--to", required=True, choices=["window", "increments", "ranking"])
     p_conv.add_argument("--output", default=None)
     p_conv.set_defaults(func=_cmd_order_convert)
-    p_iid = order_sub.add_parser("iid", help="demo sampler: rank a box by iid draws")
-    p_iid.add_argument("--d", type=int, default=1)
-    p_iid.add_argument("--radius", type=int, default=2)
-    p_iid.add_argument("--seed", type=int, required=True)
-    p_iid.add_argument("--output", default=None)
-    p_iid.set_defaults(func=_cmd_order_iid)
 
     p_tiling = sub.add_parser("tiling", help="substitution system utilities")
     tiling_sub = p_tiling.add_subparsers(dest="subcommand", required=True)

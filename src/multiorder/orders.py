@@ -34,7 +34,7 @@ from .errors import (
     OutOfWindowError,
 )
 from .groups import Element, GroupSpec
-from .util import count_distinct_rows, make_rng
+from .util import count_distinct_rows
 
 
 class Comparison(enum.Enum):
@@ -294,21 +294,3 @@ def compare(w: OrderWindow, a, b) -> Comparison:
     if ka > kb:
         return Comparison.GREATER
     return Comparison.EQUAL
-
-
-def iid_order(group: GroupSpec, cells, seed) -> OrderRanking:
-    """Rank a finite cell set by iid uniform draws (canonical tie-break).
-
-    Cells are put in canonical sorted order, each receives an independent
-    64-bit uniform draw, and ranks sort by (draw, cell).  Every ranking of
-    the set is attainable and, over seeds, equally likely.  Demonstration
-    sampler only: this is not the tiling-based order construction.
-    """
-    cs = sorted(groups.element(group, c) for c in cells)
-    if len(set(cs)) != len(cs):
-        raise InputError("cells must be distinct")
-    rng = make_rng(seed)
-    draws = rng.integers(0, 2**63, size=len(cs), dtype=np.int64)
-    order = sorted(range(len(cs)), key=lambda r: (int(draws[r]), cs[r]))
-    ranks = {cs[r]: pos for pos, r in enumerate(order)}
-    return OrderRanking(group, ranks)

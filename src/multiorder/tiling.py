@@ -22,10 +22,10 @@ address builds no curve and reads no shape table.
 An address fixes a level-L top shape together with one digit per level
 selecting the central subtile, which pins where the identity sits inside
 the expanded top tile.  An Address walks its digits down the child table
-once, on construction, recording per level the central tile's label,
-offset and size and the identity's rank in it.  window(addr, p, f) slices
-order positions -p..f from the curve of the lowest central tile holding
-them, at any level up to 63; expand is the window over the whole top tile.
+once, on construction, recording per level the central tile's label and
+size and the identity's rank in it.  window(addr, p, f) slices order
+positions -p..f from the curve of the lowest central tile holding them, at
+any level up to 63; expand is the window over the whole top tile.
 An address whose digits all pick the first (or last) child gives a
 degenerate order, with the identity at rank 0 (or size - 1) of the top
 tile; samplers read straightness off that anchor rank.
@@ -229,7 +229,6 @@ class _Walk(NamedTuple):
     """An address's digits walked down the child table, top first."""
 
     labels: tuple  # central-tile label at levels L, L-1, ..., 0
-    offsets: np.ndarray  # (L + 1, d): row i sums the first i chosen offsets
     ranks: tuple  # identity's curve rank in the central tile at levels L, ..., 0
     sizes: tuple  # curve length of the central tile at levels L, ..., 0
 
@@ -258,22 +257,18 @@ class Address:
         if any(type(d) is bool or not isinstance(d, (int, np.integer)) for d in self.digits):
             raise InputError(f"address digits must be ints, got {self.digits!r}")
         labels, starts, sizes = [self.top], [], []
-        steps = np.zeros((self.level + 1, self.spec.group.d), dtype=np.int64)
-        for pos, k in enumerate(range(self.level, 0, -1)):
-            child_labels, offsets, child_ranks = self.spec.children(k, labels[-1])
-            d = self.digits[pos]
+        for k, d in zip(range(self.level, 0, -1), self.digits):
+            child_labels, _, child_ranks = self.spec.children(k, labels[-1])
             arity = len(child_labels)
             if not 1 <= d <= arity:
                 raise InputError(
                     f"digit d_{k} = {d} out of range 1..{arity} for shape {labels[-1]!r}"
                 )
             labels.append(child_labels[d - 1])
-            steps[pos + 1] = offsets[d - 1]
             starts.append(child_ranks[d - 1])
             sizes.append(child_ranks[-1])
         ranks = tuple(accumulate(reversed(starts), initial=0))[::-1]
-        object.__setattr__(self, "_walk", _Walk(tuple(labels), steps.cumsum(axis=0),
-                                                ranks, (*sizes, 1)))
+        object.__setattr__(self, "_walk", _Walk(tuple(labels), ranks, (*sizes, 1)))
 
 
 @dataclass(frozen=True)
@@ -421,19 +416,6 @@ def expand(addr: Address) -> OrderWindow:
     return window(addr, rank, addr._walk.sizes[0] - 1 - rank)
 
 
-def central_tile(addr: Address, k: int):
-    """The level-k central tile in anchored coordinates.
-
-    Returns (label, translation): the tile is the level-k shape translated
-    by the returned element, and it contains the identity.
-    """
-    if not 0 <= k <= addr.level:
-        raise InputError(f"central tile level {k} outside 0..{addr.level}")
-    pos = addr.level - k
-    offsets = addr._walk.offsets
-    return addr._walk.labels[pos], tuple(int(x) for x in offsets[pos] - offsets[-1])
-
-
 def sample_straight_address(spec: TilingSystemSpec, level: int, seed,
                             need_past: int = 0, need_future: int = 0):
     """Sample addresses until one is straight up to its level and its
@@ -449,34 +431,6 @@ def sample_straight_address(spec: TilingSystemSpec, level: int, seed,
         f"no straight covering address found in {MAX_TRIES} tries "
         f"(level={level}, need_past={need_past}, need_future={need_future})"
     )
-
-
-def speedup(spec: TilingSystemSpec) -> TilingSystemSpec:
-    """Compose two levels of rules into one.
-
-    New level k carries the old level-2k shapes; each new rule decomposes
-    straight into level-2(k-1) tiles by traversing the two old rule layers
-    lexicographically.  Expansions are unchanged: the new curve at level k
-    equals the old curve at level 2k.
-    """
-    group = spec.group
-
-    def shapes_fn(k):
-        return spec.shapes(2 * k)
-
-    def rules_fn(k):
-        out = {}
-        for lab, rule in spec.rules(2 * k).items():
-            composed = []
-            for mid_label, off1 in rule:
-                for child_label, off0 in spec.rules(2 * k - 1)[mid_label]:
-                    composed.append((child_label, groups.compose(group, off0, off1)))
-            out[lab] = tuple(composed)
-        return out
-
-    max_level = None if spec.max_level is None else spec.max_level // 2
-    return TilingSystemSpec(group, spec.name + "_x2", shapes_fn, rules_fn,
-                            spec.canonical_label, max_level)
 
 
 # The built-ins as one table, {name: (d, canonical label, (rules at odd

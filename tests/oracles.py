@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -89,6 +89,36 @@ def digit_runs(digits, arities) -> tuple:
     first = next((i for i, d in enumerate(digits) if d != 1), level)
     last = next((i for i, (d, a) in enumerate(zip(digits, arities)) if d != a), level)
     return first, last, first < level and last < level
+
+
+def address_walk(spec, level: int, top: str, digits) -> tuple:
+    """A reference address walk that also sums each central tile's offset,
+    on any object with group.d and children(k, label) -> (child labels,
+    (arity, d) offsets, child start ranks).  Returns (labels, offsets,
+    ranks, sizes), top first: offsets row i sums the first i chosen
+    offsets, so the level-k central tile sits at offsets[L - k] in top-tile
+    coordinates and the identity at offsets[-1]."""
+    labels, starts, sizes = [top], [], []
+    steps = np.zeros((level + 1, spec.group.d), dtype=np.int64)
+    for pos, k in enumerate(range(level, 0, -1)):
+        child_labels, offsets, child_ranks = spec.children(k, labels[-1])
+        d = digits[pos]
+        labels.append(child_labels[d - 1])
+        steps[pos + 1] = offsets[d - 1]
+        starts.append(child_ranks[d - 1])
+        sizes.append(child_ranks[-1])
+    ranks = tuple(accumulate(reversed(starts), initial=0))[::-1]
+    return tuple(labels), steps.cumsum(axis=0), ranks, (*sizes, 1)
+
+
+def walk_window(spec, walk, k: int, past: int, future: int) -> np.ndarray:
+    """Anchored cells of order positions -past..future, cut from the level-k
+    central tile's curve (curve(k, label) -> (n, d) rows) placed by the
+    walk's summed offsets rather than by the identity's rank."""
+    labels, offsets, ranks, _ = walk
+    pos = len(labels) - 1 - k
+    tile = spec.curve(k, labels[pos]) + (offsets[pos] - offsets[-1])
+    return tile[ranks[pos] - past:ranks[pos] + future + 1]
 
 
 def validate_spec(spec, max_level: int) -> list:

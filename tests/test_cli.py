@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -88,18 +89,6 @@ def test_order_convert_rejects_garbage(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_order_iid_deterministic(tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    for path in (a, b):
-        assert cli.main(["order", "iid", "--d", "2", "--radius", "1", "--seed",
-                         "5", "--output", str(path)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-    blob = json.loads(a.read_text())
-    assert blob["form"] == "ranking"
-    assert sorted(rank for _, rank in blob["cells"]) == list(range(9))
-
-
 def test_tiling_dump_matches_golden(tmp_path, data_dir):
     out = tmp_path / "curve.csv"
     assert cli.main(["tiling", "dump", "--name", "hilbert", "--level", "4",
@@ -174,13 +163,13 @@ def test_tiling_validate_payload_for_a_broken_spec(monkeypatch, capsys, data_dir
 
 
 @pytest.mark.parametrize("args, cells", [
-    (["order", "iid", "--d", "3", "--radius", "100000", "--seed", "1"], 200001**3),
-    (["folner", "audit", "--name", "hilbert", "--level", "4", "--seed", "1",
-      "--candidates", "4", "--k", "box", "--k-radius", "1000000"], 2000001**2),
-    (["order", "iid", "--d", "2", "--radius", "1024", "--seed", "1"], 2049**2),
+    (["--name", "dyadic_standard", "--k-radius", "2097152"], 2**22 + 1),  # one over
+    (["--name", "hilbert", "--k-radius", "1000000"], 2000001**2),
+    (["--name", "hilbert", "--k-radius", "1024"], 2049**2),
 ])
 def test_box_over_budget_exits_1_before_allocating(capsys, args, cells):
-    assert cli.main(args) == 1
+    assert cli.main(["folner", "audit", "--level", "4", "--seed", "1", "--candidates", "4",
+                     "--k", "box", *args]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: box of radius ")
     assert err.endswith(f" has {cells} cells, more than the budget of {1 << 22}\n")
@@ -373,6 +362,36 @@ def test_inlined_config_validator_reports_the_plain_schemas_errors(tmp_path, dat
     assert len(set(messages)) > 80 and messages.count(None) < 60
 
 
+def test_fuzzed_configs_the_schema_rejects_exit_2_and_write_nothing(tmp_path, data_dir,
+                                                                    capsys, monkeypatch):
+    import random
+    run_dir = tmp_path / "run"  # the working directory, holding every relative output_dir
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    valid = [base_config(tmp_path, output_dir="out")] + [
+        json.loads((data_dir / name / "config.json").read_text())
+        for name in ("estimators_golden", "successor_golden")]
+    plain = jsonschema.Draft202012Validator(EXPERIMENT_CONFIG_SCHEMA)
+    rng = random.Random(7031)
+    path = tmp_path / "config.json"
+    rejected = 0
+    for i in range(2000):
+        config = valid[i % 3]
+        for _ in range(rng.randint(1, 3)):
+            config = mutate(config, rng)
+        if plain.is_valid(config):
+            continue
+        path.write_text(json.dumps(config))
+        assert cli.main(["entropy", "run", "--config", str(path)]) == 2, config
+        err = capsys.readouterr().err
+        assert err.startswith("config/input error:") and "Traceback" not in err, config
+        assert not any(run_dir.iterdir()), config
+        rejected += 1
+        if rejected == 200:
+            break
+    assert rejected == 200
+
+
 def test_entropy_run_reports_missing_version(tmp_path, capsys):
     config = base_config(tmp_path)
     del config["version"]
@@ -421,6 +440,23 @@ def test_module_entrypoint_smoke():
     assert proc.stdout.strip() == "0.1.0"
 
 
+def test_readme_cli_list_matches_the_parser(data_dir):
+    # every `multiorder <command> <subcommand>` line of the README's CLI block
+    # is a subparser, and every subparser has a line
+    readme = (data_dir.parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    listed = {tuple(line.split()[1:3]) for line in block.splitlines()
+              if line.startswith("multiorder ")}
+
+    def subparsers(parser):
+        return next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+
+    parsed = {(command, sub) for command, p in subparsers(cli.build_parser()).items()
+              for sub in subparsers(p)}
+    assert listed == parsed
+
+
 def test_public_names_are_pinned():
     # A name leaving (or joining) the package shows up as a diff of this list.
     assert sorted(multiorder.__all__) == [
@@ -429,18 +465,16 @@ def test_public_names_are_pinned():
         "GroupSpec", "IncrementWindow", "InputError", "InvalidIncrementsError",
         "InvarianceRecord", "MarkovLine", "MultiorderError", "OrderRanking",
         "OrderWindow", "OutOfWindowError", "PeriodicOverlay", "ShearerResult",
-        "SuccessorConsistencyReport", "TilingSystemSpec",
-        "UniformAuditResult", "ValidationReport", "act", "audit_intervals",
-        "block_entropy_along_order", "box", "builtin", "central_tile", "compare",
-        "compose", "cond_entropy_along_order", "decode", "element", "encode",
-        "entropy", "errors", "exact_conditional_entropy", "exact_cylinder_law",
-        "exact_entropy_rate", "expand", "folner", "from_increments",
-        "full_tile_records", "groups", "identity", "iid_order", "interval",
-        "interval_growth", "invariance_ratio", "inverse", "make_frame",
-        "mc_integral", "orders", "phase_entropy", "plugin_entropy", "process",
-        "remote_past_mi", "sample", "sample_address", "sample_many",
-        "sample_straight_address", "shearer_check", "speedup",
-        "succ", "successor_consistency", "successor_step", "tiling",
+        "SuccessorConsistencyReport", "TilingSystemSpec", "UniformAuditResult",
+        "ValidationReport", "act", "audit_intervals", "block_entropy_along_order",
+        "box", "builtin", "compare", "compose", "cond_entropy_along_order", "decode",
+        "element", "encode", "entropy", "errors", "exact_conditional_entropy",
+        "exact_cylinder_law", "exact_entropy_rate", "expand", "folner",
+        "from_increments", "full_tile_records", "groups", "identity", "interval",
+        "interval_growth", "invariance_ratio", "inverse", "make_frame", "mc_integral",
+        "orders", "phase_entropy", "plugin_entropy", "process", "remote_past_mi",
+        "sample", "sample_address", "sample_many", "sample_straight_address",
+        "shearer_check", "succ", "successor_consistency", "successor_step", "tiling",
         "to_increments", "uniform_audit", "unit_cross", "util", "validate_spec",
     ]
 
@@ -463,7 +497,7 @@ AUDIT = ["folner", "audit", "--name", "dyadic_standard", "--level", "6",
     "threads_env_negative", "audit_epsilon_nan", "audit_epsilon_inf",
     "validate_negative_level", "reducible_chain", "bernoulli_nan_prob",
     "markov_nan_transition", "convert_float_fields", "convert_bool_dimension",
-    "convert_bool_ranks", "iid_negative_seed", "audit_negative_seed",
+    "convert_bool_ranks", "audit_negative_seed",
     "config_is_a_directory", "config_not_utf8", "input_not_utf8", "hilbert_level_64",
     "unhashable_alphabet", "output_dir_is_a_file", "dump_output_under_a_file",
 ])
@@ -500,8 +534,6 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, case):
         args = AUDIT + ["--candidates", "4", "--samples", "0"]
     elif case.startswith("audit_epsilon"):
         args = AUDIT + ["--candidates", "4", "--epsilon", case.rsplit("_", 1)[1]]
-    elif case == "iid_negative_seed":
-        args = ["order", "iid", "--d", "1", "--seed", "-1"]
     elif case == "audit_negative_seed":
         args = ["folner", "audit", "--name", "hilbert", "--level", "3", "--seed", "-5",
                 "--candidates", "4"]

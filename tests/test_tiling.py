@@ -116,23 +116,26 @@ def test_anchor_rank_counts_unequal_children():
         assert orders.interval(w, w.lo, w.hi) == [(c - rank,) for c in range(3)]
 
 
+def walked_tile(addr, k):
+    """The level-k central tile's label and anchored cells, placed by the walk:
+    the identity sits at the tile's recorded rank."""
+    label = addr._walk.labels[addr.level - k]
+    curve = addr.spec.curve(k, label)
+    return label, curve - curve[addr._walk.ranks[addr.level - k]]
+
+
 def test_central_tile_translation_and_nesting(builtins):
     spec = builtins["dyadic_standard"]
-    addr = Address(spec, 4, "I", (1, 1, 2, 1))
-    assert tiling.central_tile(addr, 2) == ("I", (-2,))
-    other = Address(spec, 4, "I", (2, 2, 2, 1))
-    assert tiling.central_tile(other, 2) == ("I", (-2,))
+    for digits in [(1, 1, 2, 1), (2, 2, 2, 1)]:
+        label, tile = walked_tile(Address(spec, 4, "I", digits), 2)
+        assert label == "I" and tile.ravel().tolist() == [-2, -1, 0, 1]
     for name in ("dyadic_alternating", "hilbert"):
         s = builtins[name]
         level = 4 if name == "hilbert" else 6
         addr = tiling.sample_address(s, level, seed=31)
         prev = None
         for k in range(0, level + 1):
-            label, t = tiling.central_tile(addr, k)
-            t = np.asarray(t, dtype=np.int64)
-            cells = {tuple(c) for c in (s.curve(k, label) + t)}
-            zero = (0,) * s.group.d
-            assert zero in cells
+            cells = {tuple(c) for c in walked_tile(addr, k)[1].tolist()}
             if prev is not None:
                 assert prev <= cells
             prev = cells
@@ -437,34 +440,6 @@ def test_sample_straight_address_honors_margins(builtins):
         )
 
 
-@pytest.mark.parametrize("name", ["dyadic_standard", "dyadic_alternating", "hilbert"])
-def test_speedup_curves_unchanged(builtins, name):
-    spec = builtins[name]
-    fast = tiling.speedup(spec)
-    top = 2 if name == "hilbert" else 3
-    for k in range(1, top + 1):
-        for lab in spec.labels(2 * k):
-            assert np.array_equal(fast.curve(k, lab), spec.curve(2 * k, lab))
-    assert tiling.validate_spec(fast, top).ok
-
-
-def test_speedup_address_mapping(builtins):
-    cases = [
-        ("hilbert", "U", (2, 3, 1, 4), 4),
-        ("dyadic_alternating", "I", (1, 2, 2, 1), 2),
-    ]
-    for name, top, old_digits, arity in cases:
-        spec = builtins[name]
-        fast = tiling.speedup(spec)
-        new_digits = tuple(
-            (old_digits[i] - 1) * arity + old_digits[i + 1]
-            for i in range(0, len(old_digits), 2)
-        )
-        old = tiling.expand(Address(spec, len(old_digits), top, old_digits))
-        new = tiling.expand(Address(fast, len(new_digits), top, new_digits))
-        assert old == new
-
-
 # sha256 of json.dumps(builtin(name).to_json(3)), fixed before shapes became arrays.
 _TO_JSON_LEVEL3_SHA256 = {
     "dyadic_standard": "bc774c36e2fc5296adf822bce6e4cb1f5d930095ef9fc174ee9dd8dcab5fe828",
@@ -622,11 +597,10 @@ def test_address_walk_matches_tuple_oracle(walked):
     zero = (0,) * spec.group.d
     outer = None
     for k in range(level, -1, -1):
-        label, t = tiling.central_tile(addr, k)
+        label = addr._walk.labels[level - k]
         oracle_label, oracle_cum = path[level - k]
         assert label == oracle_label
-        assert t == tuple(int(x) for x in np.asarray(oracle_cum) - anchor)
-        tile = spec.curve(k, label) + np.asarray(t)
+        tile = spec.curve(k, label) + (np.asarray(oracle_cum) - anchor)
         assert addr._walk.ranks[level - k] == int(np.nonzero((tile == 0).all(axis=1))[0][0])
         assert addr._walk.sizes[level - k] == len(tile)
         cells = {tuple(c) for c in tile.tolist()}
@@ -637,6 +611,26 @@ def test_address_walk_matches_tuple_oracle(walked):
 
     assert rule_arities(addr) == arities
     assert oracles.digit_runs(addr.digits, arities)[2] == rank_is_straight(addr)
+
+
+@pytest.mark.parametrize("name", ["dyadic_standard", "dyadic_alternating", "hilbert"])
+def test_address_walk_matches_the_offset_summing_walk(builtins, name):
+    # 50 sampled addresses at levels 1-12; each oracle window is cut from a
+    # central tile of level at most _MAX_LEVEL[name], placed by summed offsets
+    spec = builtins[name]
+    rng = np.random.default_rng(12)
+    for i in range(50):
+        addr = tiling.sample_address(spec, 1 + i % 12, seed=i)
+        walk = oracles.address_walk(spec, addr.level, addr.top, addr.digits)
+        labels, _, ranks, sizes = walk
+        assert tiling.anchor_rank(addr) == ranks[0]
+        assert addr._walk == (labels, ranks, sizes)
+        for _ in range(4):
+            k = int(rng.integers(0, min(addr.level, _MAX_LEVEL[name]) + 1))
+            r, size = ranks[addr.level - k], sizes[addr.level - k]
+            past, future = int(rng.integers(0, r + 1)), int(rng.integers(0, size - r))
+            assert np.array_equal(tiling.window(addr, past, future).array,
+                                  oracles.walk_window(spec, walk, k, past, future))
 
 
 def test_sampling_path_never_builds_shapes():
@@ -650,9 +644,12 @@ def test_sampling_path_never_builds_shapes():
                                              need_future=3)
     other = tiling.sample_address(spec, 8, seed=22)
     for a in (addr, other):
+        r = tiling.anchor_rank(a)
+        # spans past the level-0 tile, whose curve checks the level-0 shape table
+        for past, future in [(1, 2), (3, 3), (40, 40), (700, 700)]:
+            if past <= r <= 4**8 - 1 - future:
+                tiling.window(a, past, future)
         assert len(tiling.expand(a)) == 4**8
-        for k in range(0, 9):
-            tiling.central_tile(a, k)
 
 
 @pytest.mark.parametrize("level", range(1, 9))
