@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import __version__, entropy, folner, groups, orders, process, tiling
 from .errors import ConsistencyError, InputError, MissingRuleError, MultiorderError
-from .schema import EXPERIMENT_CONFIG_SCHEMA, SCHEMA_VERSION
+from .schema import EXPERIMENT_CONFIG_SCHEMA, SCHEMA_VERSION, check_config
 from .util import child_seed
 
 EXIT_OK = 0
@@ -38,31 +38,6 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_CONSISTENCY = 3
 EXIT_UNDERSAMPLED = 4
-
-
-def _inline_refs(node, defs: dict, inlined: tuple = ()):
-    """A copy of a schema node with each "#/$defs/<name>" $ref replaced by
-    that definition, except a ref back into a definition being inlined (the
-    overlay's base -> process); "$defs" themselves are kept as they are."""
-    if isinstance(node, list):
-        return [_inline_refs(x, defs, inlined) for x in node]
-    if not isinstance(node, dict):
-        return node
-    ref = node.get("$ref", "")
-    name = ref.removeprefix("#/$defs/")
-    if len(node) == 1 and name != ref and name not in inlined:
-        return _inline_refs(defs[name], defs, inlined + (name,))
-    return {k: v if k == "$defs" else _inline_refs(v, defs, inlined) for k, v in node.items()}
-
-
-@functools.cache
-def _config_validator():
-    """Built once (validate re-checks the schema) and only where a config is
-    read, over the schema with its non-recursive refs inlined: a ref costs
-    a resolver lookup at every use."""
-    import jsonschema
-    schema = _inline_refs(EXPERIMENT_CONFIG_SCHEMA, EXPERIMENT_CONFIG_SCHEMA["$defs"])
-    return jsonschema.Draft202012Validator(schema)
 
 
 def _read_json(path: str):
@@ -256,10 +231,7 @@ def _threads(args, config) -> int:
 
 def _cmd_entropy_run(args) -> int:
     config = _read_json(args.config)
-    from jsonschema.exceptions import best_match
-    error = best_match(_config_validator().iter_errors(config))
-    if error is not None:
-        raise InputError(error.message)
+    check_config(config)
     names = [e["name"] for e in config["experiments"]]
     if len(set(names)) != len(names):
         raise InputError("experiment names must be unique")

@@ -11,8 +11,8 @@ import jsonschema
 import pytest
 
 import multiorder
-from multiorder import cli, entropy, orders, tiling
-from multiorder.errors import ConsistencyError
+from multiorder import cli, entropy, orders, schema, tiling
+from multiorder.errors import ConsistencyError, InputError
 from multiorder.groups import GroupSpec
 from multiorder.schema import EXPERIMENT_CONFIG_SCHEMA
 
@@ -338,7 +338,42 @@ def mutate(node, rng):
                        {"variant": "periodic_overlay", "base": {"variant": "x"}, "period": [2]}])
 
 
-def test_inlined_config_validator_reports_the_plain_schemas_errors(tmp_path, data_dir):
+def int_paths(node, path=()):
+    """The paths of a JSON document's int leaves (bools are no ints)."""
+    if type(node) is int:
+        yield path
+    elif isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from int_paths(value, path + (key,))
+
+
+def replace_at(node, path, fn):
+    """A copy of a JSON document with fn applied to the value at path."""
+    if not path:
+        return fn(node)
+    head, rest = path[0], path[1:]
+    if isinstance(node, dict):
+        return {**node, head: replace_at(node[head], rest, fn)}
+    return node[:head] + [replace_at(node[head], rest, fn)] + node[head + 1:]
+
+
+def integer_literal_validator():
+    """The plain Draft 2020-12 validator, except that an integer is an integer
+    literal (6.0 is none) and an integer const equals no float."""
+    from jsonschema import ValidationError, validators
+
+    def const(validator, value, instance, schema):
+        if type(instance) is not type(value) or instance != value:
+            yield ValidationError(f"{value!r} was expected")
+
+    draft = jsonschema.Draft202012Validator
+    checker = draft.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool))
+    return validators.extend(draft, {"const": const}, type_checker=checker)(
+        EXPERIMENT_CONFIG_SCHEMA)
+
+
+def test_config_check_accepts_what_the_schema_accepts(tmp_path, data_dir):
     import random
 
     from jsonschema.exceptions import best_match
@@ -348,18 +383,30 @@ def test_inlined_config_validator_reports_the_plain_schemas_errors(tmp_path, dat
                                        for name in ("estimators_golden", "successor_golden")]
     valid[0]["experiments"][1]["process"] = overlay
     plain = jsonschema.Draft202012Validator(EXPERIMENT_CONFIG_SCHEMA)
-    rng = random.Random(20240)
-    messages = []
+    literal = integer_literal_validator()
+    rng, floats = random.Random(20240), random.Random(20241)
+    messages, floats_refused = [], 0
     for i in range(600):
         config = valid[i % 3]
         for _ in range(rng.randint(1, 3)):
             config = mutate(config, rng)
-        want = best_match(plain.iter_errors(config))
-        got = best_match(cli._config_validator().iter_errors(config))
-        assert (got and got.message) == (want and want.message), config
-        messages.append(want and want.message)
+        error = best_match(plain.iter_errors(config))
+        messages.append(error and error.message)
+        # an integral float in one int field of the config and of its valid base
+        floated = [replace_at(doc, floats.choice(paths), float)
+                   for doc in (config, valid[i % 3]) if (paths := list(int_paths(doc)))]
+        for doc in [config] + floated:
+            want = plain.is_valid(doc) and literal.is_valid(doc)
+            try:
+                schema.check_config(doc)
+                accepted = True
+            except InputError:
+                accepted = False
+            assert accepted == want, doc
+            floats_refused += plain.is_valid(doc) and not want
     # the fuzz reaches many distinct errors and leaves few configs valid
     assert len(set(messages)) > 80 and messages.count(None) < 60
+    assert floats_refused > 300
 
 
 def test_fuzzed_configs_the_schema_rejects_exit_2_and_write_nothing(tmp_path, data_dir,
@@ -613,9 +660,103 @@ def test_overlay_period_over_budget_exits_1_without_traceback(tmp_path):
     assert proc.stderr.startswith("error: period (1099511627776,) has 1099511627776 phases")
 
 
-def test_importing_cli_leaves_jsonschema_unloaded():
-    env = package_env()
-    code = "import sys, multiorder.cli; print('jsonschema' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+def small_config(tmp_path, **experiment):
+    """A one-experiment config that runs in well under a second, with the
+    experiment's fields replaced by the given ones."""
+    return {"version": 1, "seed": 3, "output_dir": str(tmp_path / "out"), "experiments": [{
+        "name": "small", "kind": "mc_integral",
+        "tiling": {"name": "dyadic_standard", "level": 4}, "process": FAIR_LINE,
+        "params": {"j": 2, "orders": 2, "samples": 100}, **experiment}]}
+
+
+@pytest.mark.parametrize("process, message", [
+    ({"variant": "bernoulli", "probs": [-1]},
+     "experiments[0].process.probs[0]: -1 is less than the minimum of 0"),
+    ({"variant": "periodic_overlay", "base": {"variant": "bernoulli", "probs": "x"},
+      "period": [2]},
+     "experiments[0].process.base.probs: 'x' is not of type 'array'"),
+    ({"variant": "markov_line", "transition": [[0.5]], "period": [2]},
+     "experiments[0].process: additional property 'period' is not allowed"),
+    ({"variant": "x"},
+     "experiments[0].process: {'variant': 'x'} is not valid under any of the given schemas"),
+], ids=["bernoulli_probs", "overlay_base", "markov_extra_key", "unknown_variant"])
+def test_process_errors_name_the_variants_own_path(tmp_path, process, message):
+    # a process that matches one variant's const fails at that variant's error
+    with pytest.raises(InputError) as info:
+        schema.check_config(small_config(tmp_path, process=process))
+    assert str(info.value) == message
+
+
+def test_entropy_run_leaves_jsonschema_unloaded(tmp_path):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(small_config(tmp_path)))
+    bad.write_text(json.dumps({**small_config(tmp_path), "version": 2}))
+    code = ("import sys; from multiorder import cli; "
+            "code = cli.main(['entropy', 'run', '--config', sys.argv[1]]); "
+            "print(code, 'jsonschema' in sys.modules)")
+    for path, want in ((good, "0 False"), (bad, "2 False")):
+        proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                              text=True, env=package_env())
+        assert proc.stdout.strip() == want, proc.stderr
+
+
+def schema_nodes(node):
+    """Every schema node of a JSON schema, the root first."""
+    yield node
+    for key, value in node.items():
+        if key in ("properties", "$defs"):
+            for sub in value.values():
+                yield from schema_nodes(sub)
+        elif key == "items":
+            yield from schema_nodes(value)
+        elif key == "oneOf":
+            for sub in value:
+                yield from schema_nodes(sub)
+
+
+def test_config_schema_uses_only_keywords_the_check_reads():
+    checked = {"type", "required", "properties", "additionalProperties", "items", "minItems",
+               "minimum", "const", "enum", "pattern", "oneOf", "$ref"}
+    annotations = {"$schema", "$id", "title", "$defs"}
+    typed = {"minimum", "pattern", "minItems", "required", "properties",
+             "additionalProperties", "items"}
+    nodes = list(schema_nodes(EXPERIMENT_CONFIG_SCHEMA))
+    assert all(any(node is d for node in nodes)
+               for d in EXPERIMENT_CONFIG_SCHEMA["$defs"].values())
+    for node in nodes:
+        assert set(node) <= checked | annotations, node
+        assert "type" in node or not set(node) & typed, node
+        assert node.get("type", "object") in schema._TYPES, node
+        assert node.get("additionalProperties", False) is False, node
+        if "$ref" in node:  # a bare ref into $defs
+            assert set(node) == {"$ref"}, node
+            assert node["$ref"].removeprefix("#/$defs/") in EXPERIMENT_CONFIG_SCHEMA["$defs"]
+
+
+@pytest.mark.parametrize("experiment, code, message", [
+    ({"tiling": {"name": "dyadic_standard", "level": 64}}, 2,
+     "config/input error: cell coordinates must fit in int64\n"),
+    ({"process": {"variant": "periodic_overlay", "base": FAIR_LINE, "period": [1 << 40]}}, 1,
+     "error: period (1099511627776,) has 1099511627776 phases"),
+    ({"params": {"j": 5000, "orders": 2, "samples": 100}}, 1,  # j beyond the top tile
+     "error: no straight covering address found"),
+    ({"tiling": {"name": "dyadic_standard", "level": 4.0}}, 2,
+     "config/input error: experiments[0].tiling.level: 4.0 is not of type 'integer'\n"),
+    ({"params": {"j": 2.0, "orders": 2, "samples": 100}}, 2,
+     "config/input error: experiments[0].params.j: 2.0 is not of type 'integer'\n"),
+    ({"params": {"j": 2, "orders": 2.0, "samples": 100}}, 2,
+     "config/input error: experiments[0].params.orders: 2.0 is not of type 'integer'\n"),
+    ({"params": {"j": 2, "orders": 2, "samples": 100.0}}, 2,
+     "config/input error: experiments[0].params.samples: 100.0 is not of type 'integer'\n"),
+], ids=["level_64", "period_2_40", "j_5000", "level_float", "j_float", "orders_float",
+        "samples_float"])
+def test_schema_valid_out_of_range_configs_exit_cleanly(tmp_path, capsys, experiment, code,
+                                                         message):
+    # the schema accepts each config (Draft 2020-12 counts 4.0 as an integer)
+    # and the package refuses it; an uncaught error would fail cli.main itself
+    config = small_config(tmp_path, **experiment)
+    jsonschema.validate(config, EXPERIMENT_CONFIG_SCHEMA)
+    assert run_config(tmp_path, config) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
