@@ -5,9 +5,9 @@ One binary with four subcommand groups: ``order`` (format conversion),
 invariance audits, CSV), and ``entropy`` (seeded experiment runner over a
 JSON config).  Reports are byte-deterministic for a fixed config and seed:
 no timestamps, sorted keys, and results that do not depend on the thread
-count.  ``--threads`` (else the config's ``threads``, else
-MULTIORDER_THREADS, else 1; at least 1) fans the orders of every
-multi-order kind, successor_consistency included, out over threads.
+count.  ``--threads`` (else the config's ``threads``, else 1; at least
+1) fans the orders of every multi-order kind, successor_consistency
+included, out over threads.
 
 Exit codes: 0 success; 1 failed validation or runtime error; 2 config or
 input violation; 3 successor-consistency failure; 4 undersampled run under
@@ -24,7 +24,6 @@ import functools
 import hashlib
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -166,67 +165,37 @@ def _cmd_folner_audit(args) -> int:
     return EXIT_OK
 
 
-def _run_experiment(exp: dict, master_seed: int, index: int, threads: int):
+# kind: (entropy function, the params it takes after (proc, spec) in order,
+# and for a one-order kind the window side its first param sets).
+_KINDS = {
+    "mc_integral": ("mc_integral", ("j", "orders", "samples"), None),
+    "block_entropy": ("block_entropy_along_order", ("n", "samples"), "need_future"),
+    "cond_entropy": ("cond_entropy_along_order", ("j", "samples"), "need_past"),
+    "remote_past_mi": ("remote_past_mi", ("gap", "j", "orders", "samples"), None),
+    "successor_consistency": ("successor_consistency", ("j", "orders", "samples"), None),
+}
+
+
+def _run_experiment(exp: dict, seed, threads: int):
     spec = tiling.builtin(exp["tiling"]["name"])
     level = exp["tiling"]["level"]
     proc = process.from_json(exp["process"])
     params = exp["params"]
     bias = params.get("bias", "plugin")
-    seed = child_seed(master_seed, index)
-    kind = exp["kind"]
-
-    def need(*names):
-        missing = [nm for nm in names if nm not in params]
-        if missing:
-            raise InputError(f"experiment {exp['name']!r} missing params {missing}")
-        return [params[nm] for nm in names]
-
-    if kind == "mc_integral":
-        j, n_orders, m = need("j", "orders", "samples")
-        return entropy.mc_integral(proc, spec, j, n_orders, m, level, seed,
-                                   bias=bias, threads=threads)
-    if kind == "remote_past_mi":
-        gap, j, n_orders, m = need("gap", "j", "orders", "samples")
-        return entropy.remote_past_mi(proc, spec, gap, j, n_orders, m, level,
-                                      seed, bias=bias, threads=threads)
-    if kind == "successor_consistency":
-        j, n_orders, m = need("j", "orders", "samples")
-        return entropy.successor_consistency(proc, spec, j, n_orders, m, level,
-                                             seed, bias=bias, threads=threads)
+    name, wanted, side = _KINDS[exp["kind"]]
+    missing = [p for p in wanted if p not in params]
+    if missing:
+        raise InputError(f"experiment {exp['name']!r} missing params {missing}")
+    args = [params[p] for p in wanted]
+    run = getattr(entropy, name)  # looked up per call, so patched functions are seen
+    if side is None:
+        return run(proc, spec, *args, level, seed, bias=bias, threads=threads)
     # One order, seeded by the experiment seed itself.
-    if kind == "block_entropy":
-        n_span, m = need("n", "samples")
-        (report,), retries = entropy.per_order(
-            spec, level, [seed], lambda i, w, s: entropy.block_entropy_along_order(
-                proc, w, n_span, m, child_seed(s, 1), bias=bias),
-            need_future=n_span)
-        return dataclasses.replace(report, resamples=retries)
-    if kind == "cond_entropy":
-        j, m = need("j", "samples")
-        (report,), retries = entropy.per_order(
-            spec, level, [seed], lambda i, w, s: entropy.cond_entropy_along_order(
-                proc, w, j, m, child_seed(s, 1), bias=bias),
-            need_past=j)
-        return dataclasses.replace(report, resamples=retries)
-    raise InputError(f"unknown experiment kind {kind!r}")
-
-
-def _threads(args, config) -> int:
-    """--threads, else the config's threads (schema: >= 1), else
-    MULTIORDER_THREADS, else 1; a count below 1 is an input error."""
-    if args.threads is not None:
-        value, source = args.threads, "--threads"
-    elif "threads" in config:
-        return config["threads"]
-    else:
-        raw = os.environ.get("MULTIORDER_THREADS", "1")
-        try:
-            value, source = int(raw), "MULTIORDER_THREADS"
-        except ValueError:
-            raise InputError(f"MULTIORDER_THREADS must be an int, got {raw!r}") from None
-    if value < 1:
-        raise InputError(f"{source} must be >= 1, got {value}")
-    return value
+    (report,), retries = entropy.per_order(
+        spec, level, [seed],
+        lambda i, w, s: run(proc, w, *args, child_seed(s, 1), bias=bias),
+        **{side: args[0]})
+    return dataclasses.replace(report, resamples=retries)
 
 
 def _cmd_entropy_run(args) -> int:
@@ -238,45 +207,34 @@ def _cmd_entropy_run(args) -> int:
     config_hash = hashlib.sha256(
         json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
-    threads = _threads(args, config)
+    # --threads, else the config's threads (schema: >= 1), else 1
+    threads = config.get("threads", 1) if args.threads is None else args.threads
+    if threads < 1:
+        raise InputError(f"--threads must be >= 1, got {threads}")
     out_dir = Path(config.get("output_dir", "."))
     try:  # fail before any experiment runs
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InputError(str(exc)) from None
-    strict = bool(config.get("strict_sampling", False))
-    master_seed = config["seed"]
 
+    # Every report before any file, so a failed run leaves earlier outputs whole.
+    reports = [_run_experiment(exp, child_seed(config["seed"], index), threads).to_json()
+               for index, exp in enumerate(config["experiments"])]
     agg_rows = []
     undersampled_strict = False
-    for index, exp in enumerate(config["experiments"]):
-        report = _run_experiment(exp, master_seed, index, threads)
-        rj = report.to_json()
-        payload = {
-            "name": exp["name"],
-            "kind": exp["kind"],
-            "schema_version": SCHEMA_VERSION,
-            "package_version": __version__,
-            "config_hash": config_hash,
-            "seed": master_seed,
-            "experiment_index": index,
-            "tiling": exp["tiling"],
-            "process": exp["process"],
-            "params": exp["params"],
-            "report": rj,
-        }
+    for index, (exp, rj) in enumerate(zip(config["experiments"], reports)):
+        payload = {**exp, "schema_version": SCHEMA_VERSION, "package_version": __version__,
+                   "config_hash": config_hash, "seed": config["seed"],
+                   "experiment_index": index, "report": rj}
         _write_text(_dump_json(payload), out_dir / f"{exp['name']}.json")
         est = rj.get("estimate_direct", rj.get("estimate"))
         agg_rows.append([
-            exp["name"], exp["kind"],
-            repr(float(est)),
-            repr(float(rj.get("stderr", 0.0))),
-            rj.get("samples", ""), rj.get("orders", ""),
-            rj.get("truncation", ""), rj.get("gap", 0),
-            rj.get("bias_mode", ""), rj.get("undersampled", ""),
-            rj.get("resamples", 0),
+            exp["name"], exp["kind"], repr(float(est)), repr(float(rj["stderr"])),
+            rj["samples"], rj["orders"], rj["truncation"], rj.get("gap", 0),
+            rj["bias_mode"], rj["undersampled"], rj["resamples"],
         ])
-        if strict and exp["kind"] != "successor_consistency" and rj.get("undersampled"):
+        if (config.get("strict_sampling") and exp["kind"] != "successor_consistency"
+                and rj["undersampled"]):
             undersampled_strict = True
     _write_text(
         _csv_text(

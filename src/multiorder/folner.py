@@ -44,8 +44,8 @@ def _flagged_codes(Fs: np.ndarray, K: np.ndarray) -> np.ndarray:
     Each F is packed once over the bounding box of KF and F (F's box
     widened by min(K, 0) and max(K, 0)), in min_scalar_type(2P - 1) for a
     box of P cells.  The mixed radix is linear inside the box, so k·f's
-    code is f's plus k's offset (sum of k_c times radix_c): one broadcast
-    add per k, exact modulo 2^bits as in ``box_codes``.  A box of 2^62
+    code is f's plus k's offset (k's ``box_codes`` in a box at the origin):
+    one broadcast add per k, exact modulo 2^bits.  A box of 2^62
     cells or more, past ``row_codes``' packing, takes the explicit cells.
     """
     t, s, d = Fs.shape
@@ -61,8 +61,7 @@ def _flagged_codes(Fs: np.ndarray, K: np.ndarray) -> np.ndarray:
         codes = codes.reshape(t, -1, s)
     else:
         dtype = np.min_scalar_type(2 * size - 1)
-        radix = np.array([math.prod(ranges[c + 1:]) for c in range(d)], dtype=np.uint64)
-        offsets = (K.astype(np.uint64) @ radix).astype(dtype)  # exact modulo 2^64
+        offsets = box_codes(K, [0] * d, ranges, dtype)  # K's codes at the origin
         f = box_codes(flat, lo, ranges, dtype).reshape(t, 1, s)
         codes = np.empty((t, len(K) + 1, s), dtype=dtype)
         np.add(f, offsets[:, None], out=codes[:, :-1])

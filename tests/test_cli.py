@@ -198,6 +198,17 @@ def test_schema_tiling_names_are_the_builtins():
     assert tuple(tiling_schema["properties"]["name"]["enum"]) == tiling._BUILTIN_NAMES
 
 
+def test_schema_kinds_are_the_cli_table(data_dir):
+    experiment = EXPERIMENT_CONFIG_SCHEMA["$defs"]["experiment"]
+    assert experiment["properties"]["kind"]["enum"] == list(cli._KINDS)
+    params = EXPERIMENT_CONFIG_SCHEMA["$defs"]["params"]["properties"]
+    for kind, (_, wanted, _) in cli._KINDS.items():
+        assert set(wanted) <= set(params), kind
+    readme = (data_dir.parents[1] / "README.md").read_text()
+    sentence = readme.split("(kinds: ", 1)[1].split(")", 1)[0]
+    assert set(sentence.replace("\n", " ").split(", ")) == {f"`{k}`" for k in cli._KINDS}
+
+
 def test_folner_audit_csv(tmp_path, capsys):
     out = tmp_path / "audit.csv"
     assert cli.main(["folner", "audit", "--name", "dyadic_standard", "--level",
@@ -478,6 +489,44 @@ def test_entropy_run_consistency_exit_code(tmp_path, monkeypatch):
     assert run_config(tmp_path, config) == 3
 
 
+@pytest.mark.parametrize("kind, params, missing", [
+    ("mc_integral", {"orders": 2, "samples": 100}, "j"),
+    ("block_entropy", {"samples": 100}, "n"),
+    ("cond_entropy", {"samples": 100}, "j"),
+    ("remote_past_mi", {"j": 1, "orders": 2, "samples": 100}, "gap"),
+    ("successor_consistency", {"orders": 2, "samples": 100}, "j"),
+])
+def test_entropy_run_names_a_missing_param(tmp_path, capsys, kind, params, missing):
+    assert run_config(tmp_path, small_config(tmp_path, kind=kind, params=params)) == 2
+    err = capsys.readouterr().err
+    assert err == f"config/input error: experiment 'small' missing params ['{missing}']\n"
+    assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("failure", ["runtime_error", "consistency_error"])
+def test_failed_entropy_run_leaves_earlier_outputs_whole(tmp_path, monkeypatch, failure):
+    # a later experiment's failure writes no file, not even the earlier ones'
+    config = small_config(tmp_path)
+    config["experiments"].append({**config["experiments"][0], "name": "later",
+                                  "kind": "successor_consistency"})
+    assert run_config(tmp_path, config) == 0
+    names, out = out_files(tmp_path)
+    assert names == ["aggregate.csv", "later.json", "small.json"]
+    before = {name: (out / name).read_bytes() for name in names}
+    config["seed"] = 4
+    if failure == "runtime_error":  # j beyond the top tile
+        config["experiments"][1]["params"] = {"j": 5000, "orders": 2, "samples": 100}
+        code = 1
+    else:
+        def boom(*a, **k):
+            raise ConsistencyError("forced")
+
+        monkeypatch.setattr(entropy, "successor_consistency", boom)
+        code = 3
+    assert run_config(tmp_path, config) == code
+    assert {name: (out / name).read_bytes() for name in out_files(tmp_path)[0]} == before
+
+
 def test_module_entrypoint_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "multiorder", "--version"],
@@ -539,9 +588,8 @@ AUDIT = ["folner", "audit", "--name", "dyadic_standard", "--level", "6",
 
 @pytest.mark.parametrize("case", [
     "convert_json_array", "convert_window_without_group",
-    "audit_non_int_candidate", "audit_zero_samples", "threads_env_not_int",
-    "threads_flag_zero", "threads_flag_negative", "threads_env_zero",
-    "threads_env_negative", "audit_epsilon_nan", "audit_epsilon_inf",
+    "audit_non_int_candidate", "audit_zero_samples", "threads_flag_zero",
+    "threads_flag_negative", "audit_epsilon_nan", "audit_epsilon_inf",
     "validate_negative_level", "reducible_chain", "bernoulli_nan_prob",
     "markov_nan_transition", "convert_float_fields", "convert_bool_dimension",
     "convert_bool_ranks", "audit_negative_seed",
@@ -550,7 +598,6 @@ AUDIT = ["folner", "audit", "--name", "dyadic_standard", "--level", "6",
 ])
 def test_malformed_input_exits_2_without_traceback(tmp_path, case):
     env = package_env()
-    env.pop("MULTIORDER_THREADS", None)
     doc = tmp_path / "input.json"
     if case == "convert_json_array":
         doc.write_text("[1, 2]")
@@ -614,13 +661,8 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, case):
         args = ["entropy", "run", "--config", str(doc)]
     else:
         doc.write_text(json.dumps(base_config(tmp_path)))
-        args = ["entropy", "run", "--config", str(doc)]
-        if case.startswith("threads_flag"):
-            args += ["--threads", "0" if case.endswith("zero") else "-3"]
-        else:
-            env["MULTIORDER_THREADS"] = {"threads_env_not_int": "abc",
-                                         "threads_env_zero": "0",
-                                         "threads_env_negative": "-1"}[case]
+        args = ["entropy", "run", "--config", str(doc), "--threads",
+                "0" if case.endswith("zero") else "-3"]
     proc = subprocess.run([sys.executable, "-m", "multiorder", *args],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 2, proc.stderr

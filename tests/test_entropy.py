@@ -307,6 +307,26 @@ def test_every_estimator_kind_matches_golden(tmp_path, data_dir, monkeypatch):
     assert kinds.count("mc_integral") == 2
 
 
+def test_entropy_run_calls_the_estimators_through_the_module(tmp_path, data_dir,
+                                                             monkeypatch):
+    # patched module functions (perfbench's tracer, say) see every call
+    names = ["mc_integral", "remote_past_mi", "successor_consistency",
+             "block_entropy_along_order", "cond_entropy_along_order"]
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(entropy, name, counted(name, getattr(entropy, name)))
+    assert_run_matches_golden(data_dir / "estimators_golden", tmp_path, monkeypatch,
+                              threads=("1",))
+    assert [calls[name] for name in names] == [2, 1, 1, 1, 1]
+
+
 def test_successor_consistency_routes_agree():
     rep = entropy.successor_consistency(
         flip_chain(), tiling.builtin("dyadic_alternating"), j=5, n_orders=4,
